@@ -11,7 +11,7 @@ everything against an independent shooting method.
 from .asymptotics import (AsymptoticCurve, envelope, for_catalog, mu_asymptotic,
                           stationary_phase, universal_profile)
 from .continuation import (Curve, CurveAnalysis, analyze, count_solutions,
-                           follow_curve, follow_many, shape_check, xi_nodes)
+                           follow_curve, shape_check, xi_nodes)
 from .oracle import ShootingResult, oscillatory_quadrature, shoot
 from .problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
                        RunSettings, catalog, load_config, validate_conditions)
@@ -26,7 +26,7 @@ __all__ = [
     "AsymptoticCurve", "CATALOG_NAMES", "ConfigError", "Curve", "CurveAnalysis",
     "Grid", "Nonlinearity", "ProblemSpec", "RunSettings", "ShootingResult",
     "SineSeries", "SolutionPoint", "SolverSettings", "analyze", "catalog",
-    "count_solutions", "eigenvalue", "envelope", "follow_curve", "follow_many",
+    "count_solutions", "eigenvalue", "envelope", "follow_curve",
     "for_catalog", "from_grid", "jacobian_check", "load_config",
     "modal_linear_solve", "mu_asymptotic", "oscillatory_quadrature",
     "project_out", "residual", "shape_check", "shoot", "solution_series",

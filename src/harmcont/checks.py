@@ -70,7 +70,7 @@ def linear_suite() -> list[CheckRow]:
 
 
 def oracle_pair(p: problems.ProblemSpec, xi: float, n_modes: int,
-                n_steps: int = 10_000, assist_on_failure: bool = True):
+                n_steps: int = 10_000):
     """Solve one point both ways; returns (point, shot, dmu, sup_error).
 
     Shooting starts from its own pure-harmonic predictor.  If that fails
@@ -83,7 +83,7 @@ def oracle_pair(p: problems.ProblemSpec, xi: float, n_modes: int,
     """
     pt = solver.solve_at_signature(p, xi, n_modes=n_modes)
     shot = oracle.shoot(p, xi, n_steps=n_steps)
-    if not shot.converged and assist_on_failure:
+    if not shot.converged:
         u = solver.solution_series(pt, p.k)
         s_spec = float(np.sum(u.coeffs * np.arange(1, n_modes + 1) * np.pi / p.L))
         shot = oracle.shoot(p, xi, n_steps=n_steps, s0=s_spec, mu0=pt.mu,

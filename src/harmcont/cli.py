@@ -25,7 +25,8 @@ import numpy as np
 from . import checks
 from .asymptotics import for_catalog, mu_asymptotic
 from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
-from .problems import CATALOG_NAMES, ConfigError, RunSettings, catalog, load_config
+from .problems import (CATALOG_NAMES, ConfigError, RunSettings, catalog,
+                       check_run_settings, load_config)
 from .solver import SolverSettings
 
 EXIT_OK = 0
@@ -211,17 +212,6 @@ def _overrides_from_args(args) -> dict:
     return over
 
 
-def _apply_overrides(settings: RunSettings, overrides: dict) -> RunSettings:
-    s = replace(settings, **overrides)
-    if s.xi_min >= s.xi_max:
-        raise ConfigError(f"empty xi range [{s.xi_min}, {s.xi_max}]")
-    if s.xi_step <= 0:
-        raise ConfigError(f"xi_step must be positive, got {s.xi_step}")
-    if s.modes < 2:
-        raise ConfigError(f"modes must be at least 2, got {s.modes}")
-    return s
-
-
 def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     """Run a single catalog problem or config file; returns an exit code."""
     path = Path(target)
@@ -234,7 +224,8 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
         name = target.replace("(", "_").replace(")", "").replace("*", "x")
         settings = RunSettings()
         asym = for_catalog(target)
-    settings = _apply_overrides(settings, overrides)
+    settings = replace(settings, **overrides)
+    check_run_settings(spec, settings, where=f"{target}: ")
 
     out = Path(out_dir) if out_dir else (_out_root() / name)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,6 @@ branches may exist and are not searched for.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,8 @@ import numpy as np
 from .problems import ProblemSpec
 from .solver import SolutionPoint, SolverSettings, solve_at_signature
 from .spectral import SineSeries, eigenvalue
+
+MAX_HALVINGS = 6  # deepest bridge sub-step is 1/2^MAX_HALVINGS of a node step
 
 
 def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
@@ -35,7 +36,6 @@ class Curve:
 
     problem: ProblemSpec
     points: list[SolutionPoint]
-    step: float
     gaps: list[SolutionPoint] = field(default_factory=list)
 
     def xi(self) -> np.ndarray:
@@ -51,14 +51,17 @@ class Curve:
 
 def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                  settings: SolverSettings | None = None,
-                 n_modes: int = 64, max_halvings: int = 6) -> Curve:
+                 n_modes: int = 64) -> Curve:
     """Assemble the solution curve on a uniform xi grid.
 
     Each node is solved warm-started from the previous converged remainder
     (zero series at the first node).  A failed node is bridged from the last
-    converged point with sub-steps step/2, step/4, ... step/2^max_halvings;
-    if every depth fails the node is recorded as a gap and marching moves on.
-    An entirely unsolvable range yields an empty curve with diagnostics.
+    converged point through the dyadic sub-steps
+    warm_xi + (target - warm_xi) j / 2^depth: a converged sub-step is kept and
+    the march goes on from it, a failed sub-step (depth, j) is retried at
+    (depth + 1, 2j - 1).  If depth MAX_HALVINGS fails, the node is recorded as
+    a gap and marching moves on.  An entirely unsolvable range yields an empty
+    curve with diagnostics.
     """
     settings = settings or SolverSettings()
     nodes = xi_nodes(xi_min, xi_max, step)
@@ -70,38 +73,25 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     for target in nodes:
         pt = solve_at_signature(p, target, warm, settings)
         if not pt.converged and warm_xi is not None:
-            for depth in range(1, max_halvings + 1):
+            depth, j, bridge = 1, 1, warm
+            while depth <= MAX_HALVINGS:
                 sub = 2 ** depth
-                bridge = warm
-                ok = True
-                for j in range(1, sub + 1):
-                    # last sub-step lands on the node exactly, not within an ulp
-                    xi_j = target if j == sub else warm_xi + (target - warm_xi) * j / sub
-                    bp = solve_at_signature(p, xi_j, bridge, settings)
-                    if not bp.converged:
-                        ok = False
-                        break
-                    bridge = bp.U
-                if ok:
+                # last sub-step lands on the node exactly, not within an ulp
+                xi_j = target if j == sub else warm_xi + (target - warm_xi) * j / sub
+                bp = solve_at_signature(p, xi_j, bridge, settings)
+                if not bp.converged:
+                    depth, j = depth + 1, 2 * j - 1
+                elif j == sub:
                     pt = bp
                     break
+                else:
+                    bridge, j = bp.U, j + 1
         if pt.converged:
             points.append(pt)
             warm, warm_xi = pt.U, pt.xi
         else:
             gaps.append(pt)
-    return Curve(problem=p, points=points, step=step, gaps=gaps)
-
-
-def follow_many(tasks, jobs: int = 2) -> list[Curve]:
-    """Run independent follow_curve calls in parallel.
-
-    tasks is an iterable of dicts of follow_curve keyword arguments (with the
-    problem under "p").  Runs share no mutable state.
-    """
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(follow_curve, **task) for task in tasks]
-        return [f.result() for f in futures]
+    return Curve(problem=p, points=points, gaps=gaps)
 
 
 @dataclass(frozen=True)

@@ -377,10 +377,22 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
         except ValueError as exc:
             raise ConfigError(f"{path}: bad [run] value: {exc}") from exc
     settings = RunSettings(**kwargs)
-    if settings.xi_min >= settings.xi_max:
-        raise ConfigError(f"{path}: xi_min must be below xi_max")
-    if settings.xi_step <= 0:
-        raise ConfigError(f"{path}: xi_step must be positive")
-    if settings.modes < 2 * k:
-        raise ConfigError(f"{path}: modes must be at least 2k = {2 * k}")
+    check_run_settings(spec, settings, where=f"{path}: ")
     return spec, settings
+
+
+def check_run_settings(spec: ProblemSpec, settings: RunSettings, where: str = "") -> None:
+    """Raise ConfigError unless the [run] settings can be run on spec.
+
+    The xi range must be nonempty, the step positive, and the mode count must
+    hold twice the driven harmonic and every forcing mode.
+    """
+    if not settings.xi_min < settings.xi_max:
+        raise ConfigError(f"{where}xi_min must be below xi_max, got "
+                          f"[{settings.xi_min}, {settings.xi_max}]")
+    if settings.xi_step <= 0:
+        raise ConfigError(f"{where}xi_step must be positive, got {settings.xi_step}")
+    need = max(2 * spec.k, spec.e.n_modes)
+    if settings.modes < need:
+        raise ConfigError(f"{where}modes must be at least max(2k, forcing modes) = "
+                          f"{need}, got {settings.modes}")

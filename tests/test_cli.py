@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
 
@@ -126,6 +128,21 @@ class TestExitCodes:
     def test_bad_range_flags(self, tmp_path):
         assert run_cli("run", "cubic(1)", "--xi-min", "2", "--xi-max", "-2",
                        "--out", str(tmp_path)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config, flags", [
+        (None, ["--modes", "4"]),  # resonance-k7 needs 2k = 14 modes
+        ("[problem]\nk = 3\ng = u\n[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\n"
+         "modes = 16\n", ["--modes", "2"]),  # the flag is checked, not only the file
+        ("[problem]\ng = u\ne = 20:0.1\n[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\n"
+         "modes = 16\n", []),  # fewer modes than the forcing
+    ], ids=["catalog-k7", "flag-k3", "forcing-e20"])
+    def test_too_few_modes(self, tmp_path, config, flags):
+        target = "resonance-k7"
+        if config is not None:
+            target = tmp_path / "problem.cfg"
+            target.write_text(config)
+        assert run_cli("run", str(target), *flags,
+                       "--out", str(tmp_path / "out")) == EXIT_CONFIG
 
     def test_verify_exit_codes_are_distinct(self):
         assert EXIT_OK == 0 and EXIT_VERIFY_FAILED == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from harmcont import continuation
 from harmcont.continuation import (analyze, count_solutions, follow_curve,
-                                   follow_many, shape_check, xi_nodes)
+                                   shape_check, xi_nodes)
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import SolverSettings
 from harmcont.spectral import SineSeries
@@ -150,15 +151,43 @@ class TestShapeCheck:
         assert "decays" in rep.summary()
 
 
-class TestFollowMany:
-    def test_parallel_matches_sequential(self):
-        tasks = [dict(p=linear_spec(), xi_min=-1.0, xi_max=1.0, step=0.5, n_modes=8),
-                 dict(p=catalog("cubic(1)"), xi_min=0.0, xi_max=1.0, step=0.25,
-                      n_modes=16)]
-        curves = follow_many(tasks, jobs=2)
-        ref = [follow_curve(**task) for task in tasks]
-        for got, want in zip(curves, ref):
-            assert np.array_equal(got.mu(), want.mu())
+class TestBridge:
+    """Step-halving bridge on g = 4 pi^2 u + 2 sin(u), where g' crosses lambda_2."""
+
+    def test_converged_substeps_kept(self, monkeypatch):
+        nl = Nonlinearity.from_expression("4*pi^2*u + 2*sin(u)")
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        calls = []
+        solve = continuation.solve_at_signature
+
+        def recording_solve(p, xi, *args, **kwargs):
+            pt = solve(p, xi, *args, **kwargs)
+            calls.append((float(xi), pt.converged))
+            return pt
+
+        monkeypatch.setattr(continuation, "solve_at_signature", recording_solve)
+        c = follow_curve(p, -5.0, 0.0, 0.1, n_modes=32)
+        nodes = xi_nodes(-5.0, 0.0, 0.1)
+
+        # split the calls per node: each node starts with its direct attempt
+        resolved = 0
+        i = -1
+        for xi, converged in calls:
+            if i + 1 < len(nodes) and xi == nodes[i + 1]:
+                i += 1
+                kept = set()
+                continue
+            resolved += xi in kept
+            if converged:
+                kept.add(xi)
+        assert i == len(nodes) - 1
+        assert resolved == 0
+
+        assert len(c.gaps) == 4
+        node_set = set(nodes.tolist())
+        assert all(g.xi in node_set and g.failure for g in c.gaps)
+        assert all(pt.residual_norm < 1e-10 for pt in c.points)
 
 
 class TestCurveSettingsPropagation:
