@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .problems import ProblemSpec
-from .spectral import Grid, SineSeries, eigenvalue, from_grid, multiplication_matrix, to_grid
+from .spectral import Grid, SineSeries, from_grid, multiplication_matrix, to_grid
 
 __all__ = [
     "SolverSettings", "SolutionPoint", "residual", "solve_at_signature",
@@ -36,6 +36,10 @@ class SolverSettings:
             raise ValueError("newton_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        # the line search halves the step while step >= min_damping; at 0 a
+        # stalled search would halve down to 0.0 and loop forever
+        if not 0.0 < self.min_damping <= 1.0:
+            raise ValueError("min_damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class _Workspace:
         self.N = n_modes
         self.M = 4 * n_modes
         self.grid = Grid(self.M, p.L)
-        self.lam = np.array([eigenvalue(j, p.L) for j in range(1, self.N + 1)])
+        self.lam = (np.arange(1, self.N + 1) * np.pi / p.L) ** 2
         self.e_pad = p.e.padded(self.N)
         self.reduced = np.array([j for j in range(self.N) if j != p.k - 1])
         # g(u) does not vanish at the Dirichlet ends unless g(0) = 0; its sine

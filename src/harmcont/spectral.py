@@ -2,8 +2,14 @@
 
 A function is stored as coefficients a_1..a_N of sum_j a_j sin(j pi x / L);
 the plain-sine convention is used throughout, so harmonics are extracted with
-the (2/L) projection factor.  Grid transforms go through the type-I discrete
-sine transform on the interior nodes x_m = m L / (M+1).
+the (2/L) projection factor.  Grid values live on the interior nodes
+x_m = m L / (M+1), m = 1..M.  The grid transforms are partial type-I discrete
+sine transforms: N coefficients in, or N out, of a length-M transform.  They
+are products with the cached M x N sine matrix B[m, j] = sin(j pi m/(M+1)),
+which skip the 3N coefficients the solver's M = 4N grid never uses (and the
+prime FFT length M + 1 = 257 of the default N = 64).  Multiplication by a
+grid function w is the Toeplitz-minus-Hankel matrix c_|i-j| - c_(i+j) built
+from the cosine coefficients c_n of w (Olver & Townsend, SIAM Rev. 2013).
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
 
 
 def eigenvalue(k: int, L: float) -> float:
@@ -101,22 +106,23 @@ class Grid:
 
 
 def to_grid(s: SineSeries, grid: Grid) -> np.ndarray:
-    """Values of the represented function at the grid nodes (exact via DST-I)."""
+    """Values of the represented function at the grid nodes: B @ coeffs."""
     if grid.M < 2 * s.n_modes:
         raise ValueError(
             f"grid too coarse: M={grid.M} nodes for N={s.n_modes} modes (need M >= 2N)"
         )
-    if not np.isclose(grid.L, s.L):
+    # np.isclose's test, written for scalars: it runs on every residual
+    if not abs(grid.L - s.L) <= 1e-8 + 1e-5 * abs(s.L):
         raise ValueError(f"grid length {grid.L} does not match series length {s.L}")
-    return dst(s.padded(grid.M), type=1) / 2.0
+    return _sine_matrix(grid.M, s.n_modes) @ s.coeffs
 
 
 def from_grid(values: np.ndarray, L: float, n_modes: int) -> SineSeries:
     """Sine coefficients a_j = (2/L) int f sin(j pi x/L) dx from node values.
 
-    The quadrature is the discrete sine transform on the node set; the round
-    trip from_grid(to_grid(s)) is exact to roundoff when s has <= n_modes
-    modes and the grid satisfies M >= 2 n_modes.
+    The quadrature is the discrete sine transform on the node set,
+    (2/(M+1)) values @ B; the round trip from_grid(to_grid(s)) is exact to
+    roundoff when s has <= n_modes modes and the grid satisfies M >= 2 n_modes.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -126,7 +132,7 @@ def from_grid(values: np.ndarray, L: float, n_modes: int) -> SineSeries:
         raise ValueError(
             f"dimension mismatch: {M} grid values cannot resolve {n_modes} modes"
         )
-    coeffs = dst(values, type=1)[:n_modes] / (M + 1)
+    coeffs = (2.0 / (M + 1)) * (values @ _sine_matrix(M, n_modes))
     return SineSeries(L, coeffs)
 
 
@@ -169,25 +175,50 @@ def modal_linear_solve(rhs: SineSeries, shift: float, excluded: int) -> SineSeri
     return SineSeries(rhs.L, w)
 
 
+def _angles(a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
+    """pi a b/(M+1), with a b reduced mod 2(M+1) in integers before scaling."""
+    return np.pi * (np.outer(a, b) % (2 * (M + 1))) / (M + 1)
+
+
 @lru_cache(maxsize=16)
 def _sine_matrix(M: int, N: int) -> np.ndarray:
     """B[m-1, j-1] = sin(j pi m/(M+1)); maps N coefficients to M node values."""
-    m = np.arange(1, M + 1)
-    j = np.arange(1, N + 1)
-    B = np.sin(np.pi * np.outer(m, j) / (M + 1))
+    B = np.sin(_angles(np.arange(1, M + 1), np.arange(1, N + 1), M))
     B.setflags(write=False)
     return B
+
+
+@lru_cache(maxsize=16)
+def _cosine_matrix(M: int, N: int) -> np.ndarray:
+    """C[n, m-1] = cos(n pi m/(M+1)) / (M+1) for n = 0..2N."""
+    C = np.cos(_angles(np.arange(2 * N + 1), np.arange(1, M + 1), M)) / (M + 1)
+    C.setflags(write=False)
+    return C
+
+
+@lru_cache(maxsize=16)
+def _toeplitz_hankel_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """|i-j| and i+j for the 1-based mode pairs (i, j) of an N x N matrix."""
+    i, j = np.indices((N, N))
+    toeplitz, hankel = np.abs(i - j), i + j + 2
+    toeplitz.setflags(write=False)
+    hankel.setflags(write=False)
+    return toeplitz, hankel
 
 
 def multiplication_matrix(weights: np.ndarray, n_modes: int) -> np.ndarray:
     """Sine-coefficient matrix of f -> w(x) f(x), w given by grid node values.
 
-    Entry (i, j) is the i-th sine coefficient of w(x) sin(j pi x/L), assembled
-    by the same DST quadrature as from_grid.
+    Entry (i, j) is the i-th sine coefficient of w(x) sin(j pi x/L) by the
+    same quadrature as from_grid, (2/(M+1)) sum_m w_m sin(i t_m) sin(j t_m)
+    with t_m = pi m/(M+1).  Since 2 sin(i t) sin(j t) = cos((i-j) t) -
+    cos((i+j) t), that is c_|i-j| - c_(i+j) with the cosine coefficients
+    c_n = (1/(M+1)) sum_m w_m cos(n t_m), n = 0..2N.
     """
     weights = np.asarray(weights, dtype=float)
     M = weights.size
     if M < 2 * n_modes:
         raise ValueError(f"{M} nodes cannot resolve {n_modes} modes")
-    B = _sine_matrix(M, n_modes)
-    return (2.0 / (M + 1)) * (B.T @ (weights[:, None] * B))
+    c = _cosine_matrix(M, n_modes) @ weights
+    toeplitz, hankel = _toeplitz_hankel_indices(n_modes)
+    return c[toeplitz] - c[hankel]

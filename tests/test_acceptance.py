@@ -9,13 +9,11 @@ import time
 import numpy as np
 
 from harmcont.asymptotics import for_catalog, mu_asymptotic, universal_profile
-from harmcont.checks import fresnel_errors, oracle_suite
+from harmcont.checks import fresnel_errors, linear_suite, oracle_suite
 from harmcont.continuation import analyze, count_solutions, follow_curve
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import solution_series, solve_at_signature
 from harmcont.spectral import SineSeries
-
-PI2 = np.pi ** 2
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -24,21 +22,13 @@ def report(criterion: str, passed: bool, detail: str) -> bool:
 
 
 def test_criterion_1_linear_exactness():
+    # linear_suite holds the bounds: |mu + lambda_1 xi| < 1e-10, ||U|| < 1e-12
     t0 = time.perf_counter()
-    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    nl = Nonlinearity(g=zero, g_prime=zero, descriptor="0")
-    p = ProblemSpec(L=1.0, k=1, e=SineSeries.zero(1.0, 4), nonlinearity=nl)
-    rng = np.random.default_rng(42)
-    worst_mu = worst_U = 0.0
-    for xi in rng.uniform(-10.0, 10.0, 20):
-        pt = solve_at_signature(p, float(xi), n_modes=16)
-        worst_mu = max(worst_mu, abs(pt.mu + PI2 * xi))
-        worst_U = max(worst_U, pt.U.l2_norm())
+    rows = linear_suite()
     dt = time.perf_counter() - t0
-    ok = worst_mu < 1e-10 and worst_U < 1e-12 and dt < 1.0
+    ok = all(r.passed for r in rows) and dt < 1.0
     assert report("1 (linear exactness)", ok,
-                  f"worst |mu + lambda_1 xi| = {worst_mu:.2e}, "
-                  f"worst ||U|| = {worst_U:.2e}, runtime {dt:.2f}s")
+                  "; ".join(r.detail for r in rows) + f", runtime {dt:.2f}s")
 
 
 def test_criterion_2_runtime_and_coverage(fig1_curve):

@@ -1,4 +1,6 @@
+import csv
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,35 @@ class TestRunCatalog:
 
     def test_unknown_catalog_name(self, tmp_path):
         assert run_cli("run", "no-such-problem", "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "out"
+
+
+def read_curve(path):
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    return ([r["xi"] for r in rows], [float(r["mu"]) for r in rows],
+            [r["converged"] for r in rows])
+
+
+class TestGoldenCurves:
+    # the committed figure curves, rerun with the README flags; a reordered
+    # floating-point sum moves mu by roundoff, so mu is held to newton_tol
+    # rather than to byte equality
+    @pytest.mark.parametrize("name,flags", [
+        ("oscillatory-p512", ["--xi-min", "5", "--xi-max", "60"]),
+        ("resonance-k7", ["--xi-min", "10", "--xi-max", "60", "--modes", "128"]),
+        ("amann-hess-type", ["--xi-min", "-40", "--xi-max", "40", "--mu-star", "0"]),
+    ])
+    def test_reproduces_committed_curve(self, tmp_path, name, flags):
+        assert run_cli("run", name, *flags, "--step", "0.1",
+                       "--out", str(tmp_path)) == EXIT_OK
+        xi, mu, converged = read_curve(tmp_path / "curve.csv")
+        xi0, mu0, converged0 = read_curve(GOLDEN / name / "curve.csv")
+        assert xi == xi0
+        assert converged == converged0
+        assert max(abs(a - b) for a, b in zip(mu, mu0)) <= 1e-10
 
 
 class TestRunConfig:

@@ -155,6 +155,23 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
 
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+    def test_bad_min_damping(self, value):
+        # min_damping = 0 used to hang a stalled line search: the step
+        # underflows to 0.0 and 0.0 >= 0.0 stays true
+        with pytest.raises(ValueError, match="min_damping"):
+            SolverSettings(min_damping=value)
+
+    def test_stalled_line_search_terminates(self):
+        nl = Nonlinearity(g=lambda u: 4 * PI2 * np.asarray(u) + 2 * np.sin(u),
+                          g_prime=lambda u: 4 * PI2 + 2 * np.cos(u),
+                          descriptor="4 pi^2 u + 2 sin u")
+        p = ProblemSpec(L=1.0, k=1,
+                        e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        pt = solve_at_signature(p, -9.8, settings=SolverSettings(min_damping=1.0))
+        assert pt.failure == "line_search_stalled"
+
 
 class TestResolutionRobustness:
     # the driven harmonic's nonlinear sideband spectrum reaches roughly

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from harmcont.spectral import (Grid, SineSeries, eigenvalue, from_grid,
                                modal_linear_solve, multiplication_matrix,
@@ -79,6 +80,21 @@ class TestGridTransforms:
             s = SineSeries(2.5, rng.standard_normal(N))
             back = from_grid(to_grid(s, Grid(M, 2.5)), 2.5, N)
             assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("M,N", [(256, 64), (512, 128)])
+    def test_match_dst_type_1(self, M, N):
+        # the partial transforms are the first N columns of DST-I
+        rng = np.random.default_rng(M)
+        s = SineSeries(2.0, rng.standard_normal(N))
+        vals = rng.standard_normal(M)
+        assert np.allclose(to_grid(s, Grid(M, 2.0)), dst(s.padded(M), type=1) / 2,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(from_grid(vals, 2.0, N).coeffs,
+                           dst(vals, type=1)[:N] / (M + 1), rtol=0, atol=1e-13)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            to_grid(SineSeries(1.0, [1.0]), Grid(8, 1.001))
 
     def test_parseval(self):
         rng = np.random.default_rng(4)
@@ -183,6 +199,21 @@ class TestMultiplicationMatrix:
     def test_constant_weight_is_identity(self):
         A = multiplication_matrix(np.full(32, 2.5), 8)
         assert np.allclose(A, 2.5 * np.eye(8), atol=1e-13)
+
+    @pytest.mark.parametrize("M,N", [(16, 8), (256, 64), (512, 128)])
+    def test_matches_explicit_quadrature(self, M, N):
+        # (2/(M+1)) B^T diag(w) B, the quadrature from_grid applies to w f
+        rng = np.random.default_rng(N)
+        w = rng.standard_normal(M)
+        m, j = np.arange(1, M + 1), np.arange(1, N + 1)
+        B = np.sin(np.pi * np.outer(m, j) / (M + 1))
+        expected = (2.0 / (M + 1)) * (B.T @ (w[:, None] * B))
+        A = multiplication_matrix(w, N)
+        assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match="resolve"):
+            multiplication_matrix(np.ones(15), 8)
 
 
 class TestSineSeriesValidation:
