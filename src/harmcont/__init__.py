@@ -11,25 +11,25 @@ everything against an independent shooting method.
 from .asymptotics import (AsymptoticCurve, envelope, for_catalog, mu_asymptotic,
                           stationary_phase, universal_profile)
 from .continuation import (Curve, CurveAnalysis, analyze, count_solutions,
-                           follow_curve, shape_check, xi_nodes)
+                           follow_curve, xi_nodes)
 from .oracle import ShootingResult, oscillatory_quadrature, shoot
 from .problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
                        RunSettings, catalog, load_config, validate_conditions)
-from .solver import (SolutionPoint, SolverSettings, jacobian_check, residual,
+from .solver import (SolutionPoint, SolverSettings, jacobian_check,
                      solution_series, solve_at_signature)
-from .spectral import (Grid, SineSeries, eigenvalue, from_grid,
+from .spectral import (SineSeries, eigenvalue, from_grid,
                        modal_linear_solve, project_out, to_grid)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticCurve", "CATALOG_NAMES", "ConfigError", "Curve", "CurveAnalysis",
-    "Grid", "Nonlinearity", "ProblemSpec", "RunSettings", "ShootingResult",
+    "Nonlinearity", "ProblemSpec", "RunSettings", "ShootingResult",
     "SineSeries", "SolutionPoint", "SolverSettings", "analyze", "catalog",
     "count_solutions", "eigenvalue", "envelope", "follow_curve",
     "for_catalog", "from_grid", "jacobian_check", "load_config",
     "modal_linear_solve", "mu_asymptotic", "oscillatory_quadrature",
-    "project_out", "residual", "shape_check", "shoot", "solution_series",
+    "project_out", "shoot", "solution_series",
     "solve_at_signature", "stationary_phase", "to_grid", "universal_profile",
     "validate_conditions", "xi_nodes",
 ]

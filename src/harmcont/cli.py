@@ -127,6 +127,8 @@ def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:
         return
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
+    if x1 - x0 < 1e-12:  # a single node
+        x0, x1 = x0 - 1.0, x1 + 1.0
     if y1 - y0 < 1e-12:
         y0, y1 = y0 - 1.0, y1 + 1.0
     pad = 0.05 * (y1 - y0)
@@ -226,15 +228,17 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
         asym = for_catalog(target)
     settings = replace(settings, **overrides)
     check_run_settings(spec, settings, where=f"{target}: ")
+    try:
+        solver_settings = SolverSettings(newton_tol=settings.newton_tol,
+                                         max_iter=settings.max_iter)
+    except ValueError as exc:
+        raise ConfigError(f"{target}: {exc}") from exc
 
     out = Path(out_dir) if out_dir else (_out_root() / name)
     out.mkdir(parents=True, exist_ok=True)
 
-    curve = follow_curve(
-        spec, settings.xi_min, settings.xi_max, settings.xi_step,
-        SolverSettings(newton_tol=settings.newton_tol, max_iter=settings.max_iter),
-        n_modes=settings.modes,
-    )
+    curve = follow_curve(spec, settings.xi_min, settings.xi_max, settings.xi_step,
+                         solver_settings, n_modes=settings.modes)
     write_curve_csv(out / "curve.csv", curve)
     write_analysis_txt(out / "analysis.txt", curve, settings.mu_star)
     asym_xy = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .problems import ProblemSpec
 from .solver import SolutionPoint, SolverSettings, solve_at_signature
-from .spectral import SineSeries, eigenvalue
+from .spectral import SineSeries
 
 MAX_HALVINGS = 6  # deepest bridge sub-step is 1/2^MAX_HALVINGS of a node step
 
@@ -192,74 +192,3 @@ def count_solutions(c: Curve, mu_star: float) -> int:
         prev = s
         prev_was_zero = False
     return count
-
-
-@dataclass(frozen=True)
-class ShapeEnd:
-    """Remainder-to-harmonic ratio r = ||U||/|xi| at one end of the curve."""
-
-    xi_far: float
-    xi_near: float
-    r_far: float
-    r_near: float
-    weighted_r_far: float
-    weighted_r_near: float
-
-    @property
-    def decayed(self) -> bool:
-        return self.r_far < self.r_near
-
-    @property
-    def weighted_decayed(self) -> bool:
-        return self.weighted_r_far < self.weighted_r_near
-
-
-@dataclass(frozen=True)
-class ShapeReport:
-    positive: ShapeEnd | None
-    negative: ShapeEnd | None
-
-    def summary(self) -> str:
-        lines = []
-        for label, end in (("xi > 0", self.positive), ("xi < 0", self.negative)):
-            if end is None:
-                lines.append(f"{label}: not sampled far enough")
-                continue
-            lines.append(
-                f"{label}: r({end.xi_far:g}) = {end.r_far:.6g} vs r({end.xi_near:g}) = "
-                f"{end.r_near:.6g} -> {'decays' if end.decayed else 'NO decay'}; "
-                f"weighted {'decays' if end.weighted_decayed else 'NO decay'}"
-            )
-        return "\n".join(lines)
-
-
-def _ratio_at(c: Curve, xi_target: float):
-    xi = c.xi()
-    idx = int(np.argmin(np.abs(xi - xi_target)))
-    pt = c.points[idx]
-    lam = np.array([eigenvalue(j, pt.U.L) for j in range(1, pt.U.n_modes + 1)])
-    w = np.sqrt(pt.U.L / 2.0 * np.sum((lam * pt.U.coeffs) ** 2))
-    return pt.xi, pt.U.l2_norm() / abs(pt.xi), float(w) / abs(pt.xi)
-
-
-def shape_check(c: Curve) -> ShapeReport:
-    """Check that the solution shape approaches the pure harmonic.
-
-    Reports r(xi) = ||U||/|xi| at the extreme sampled xi against the value at
-    half that xi, per curve end reaching |xi| >= 20; also in the H2-style
-    weighted norm (lambda_j^2-weighted coefficients).
-    """
-    xi = c.xi()
-    ends = {}
-    for label, side in (("positive", xi[xi > 0]), ("negative", xi[xi < 0])):
-        ends[label] = None
-        if side.size == 0:
-            continue
-        far = side[np.argmax(np.abs(side))]
-        if abs(far) < 20:
-            continue
-        xf, rf, wf = _ratio_at(c, far)
-        xn, rn, wn = _ratio_at(c, far / 2)
-        ends[label] = ShapeEnd(xi_far=xf, xi_near=xn, r_far=rf, r_near=rn,
-                               weighted_r_far=wf, weighted_r_near=wn)
-    return ShapeReport(positive=ends["positive"], negative=ends["negative"])

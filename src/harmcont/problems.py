@@ -384,9 +384,14 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
 def check_run_settings(spec: ProblemSpec, settings: RunSettings, where: str = "") -> None:
     """Raise ConfigError unless the [run] settings can be run on spec.
 
-    The xi range must be nonempty, the step positive, and the mode count must
-    hold twice the driven harmonic and every forcing mode.
+    The xi range must be finite and nonempty, the step finite and positive,
+    and the mode count must hold twice the driven harmonic and every forcing
+    mode.
     """
+    for key in ("xi_min", "xi_max", "xi_step"):
+        value = getattr(settings, key)
+        if not np.isfinite(value):
+            raise ConfigError(f"{where}{key} must be finite, got {value}")
     if not settings.xi_min < settings.xi_max:
         raise ConfigError(f"{where}xi_min must be below xi_max, got "
                           f"[{settings.xi_min}, {settings.xi_max}]")

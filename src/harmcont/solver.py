@@ -4,7 +4,9 @@ Given a problem and a prescribed k-th harmonic xi, find the remainder
 U _|_ sin(k pi x/L) and the scalar mu_k so that u = xi sin(k pi x/L) + U
 solves u'' + g(u) = mu_k sin(k pi x/L) + e(x).  The harmonic projection of
 the equation fixes mu_k directly; the complementary projection is solved by
-a damped Newton iteration on the sine coefficients of U.
+a damped Newton iteration on the sine coefficients of U.  The iteration works
+on plain coefficient arrays; a SineSeries is built only for the returned
+point.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .problems import ProblemSpec
-from .spectral import Grid, SineSeries, from_grid, multiplication_matrix, to_grid
+from .spectral import SineSeries, from_grid, multiplication_matrix, to_grid
 
 __all__ = [
-    "SolverSettings", "SolutionPoint", "residual", "solve_at_signature",
+    "SolverSettings", "SolutionPoint", "solve_at_signature",
     "jacobian_check", "solution_series", "SINGULAR_CONDITION",
 ]
 
@@ -32,8 +34,9 @@ class SolverSettings:
     min_damping: float = 2.0 ** -10
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        # NaN fails every comparison; an infinite tolerance would accept any point
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         # the line search halves the step while step >= min_damping; at 0 a
@@ -48,7 +51,9 @@ class SolutionPoint:
 
     failure is None for converged points; otherwise one of "max_iter",
     "singular_jacobian" (condition estimate above 1e14, the numerical
-    signature of a violated g' sandwich) or "line_search_stalled".
+    signature of a violated g' sandwich), "line_search_stalled" or
+    "non_finite" (g overflows or is NaN at the start point, so the residual
+    or mu is not a finite number).
     """
 
     xi: float
@@ -80,7 +85,6 @@ class _Workspace:
         self.p = p
         self.N = n_modes
         self.M = 4 * n_modes
-        self.grid = Grid(self.M, p.L)
         self.lam = (np.arange(1, self.N + 1) * np.pi / p.L) ** 2
         self.e_pad = p.e.padded(self.N)
         self.reduced = np.array([j for j in range(self.N) if j != p.k - 1])
@@ -94,19 +98,20 @@ class _Workspace:
 
     def g_coefficients(self, g_vals: np.ndarray) -> np.ndarray:
         if self.g0 == 0.0:
-            return from_grid(g_vals, self.p.L, self.N).coeffs
-        tilted = from_grid(g_vals - self.g0, self.p.L, self.N).coeffs
+            return from_grid(g_vals, self.N)
+        tilted = from_grid(g_vals - self.g0, self.N)
         return tilted + self.g0 * self.const_coeffs
 
-    def full_coeffs(self, xi: float, U: SineSeries) -> np.ndarray:
-        c = U.padded(self.N)
-        c[self.p.k - 1] = xi
-        return c
+    def residual_mu(self, xi: float, U: np.ndarray):
+        """Projected residual R = P[u'' + g(u) - e], mu and u on the grid.
 
-    def residual_mu(self, xi: float, U: SineSeries):
-        """Projected residual coefficients (k-th slot zero) and mu."""
-        c = self.full_coeffs(xi, U)
-        u_vals = to_grid(SineSeries(self.p.L, c), self.grid)
+        U holds the N coefficients of the remainder; its k-th slot is
+        ignored.  R has a zero k-th coefficient; mu is fixed by the k-th sine
+        coefficient of the equation, mu = -lambda_k xi + (2/L) int g(u) phi_k.
+        """
+        c = U.copy()
+        c[self.p.k - 1] = xi
+        u_vals = to_grid(c, self.M)
         g_vals = np.asarray(self.p.nonlinearity.g(u_vals), dtype=float)
         g_coef = self.g_coefficients(g_vals)
         k = self.p.k
@@ -120,22 +125,11 @@ class _Workspace:
         gp_vals = np.asarray(self.p.nonlinearity.g_prime(u_vals), dtype=float)
         J = multiplication_matrix(gp_vals, self.N)
         J[np.diag_indices(self.N)] -= self.lam
-        return J[np.ix_(self.reduced, self.reduced)]
+        return J.take(self.reduced, 0).take(self.reduced, 1)
 
 
 def _norm(p: ProblemSpec, coeffs: np.ndarray) -> float:
     return float(np.sqrt(p.L / 2.0 * np.dot(coeffs, coeffs)))
-
-
-def residual(p: ProblemSpec, xi: float, U: SineSeries):
-    """Projected residual R = P[u'' + g(u) - e] and the harmonic balance mu.
-
-    R is a SineSeries with zero k-th coefficient; mu is fixed by the k-th
-    sine coefficient of the equation, mu = -lambda_k xi + (2/L) int g(u) phi_k.
-    """
-    ws = _Workspace(p, U.n_modes)
-    R, mu, _ = ws.residual_mu(xi, U)
-    return SineSeries(p.L, R), mu
 
 
 def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
@@ -158,12 +152,16 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
 
     U = U0.padded(ws.N)
     U[p.k - 1] = 0.0
-    R, mu, u_vals = ws.residual_mu(xi, SineSeries(p.L, U))
+    R, mu, u_vals = ws.residual_mu(xi, U)
     rnorm = _norm(p, R)
     iters = 0
     failure = None
+    # g overflows or is NaN at the start point.  A trial step whose residual
+    # is not finite fails the line search's comparison and is halved.
+    if not (np.isfinite(R).all() and np.isfinite(mu)):
+        failure = "non_finite"
 
-    while rnorm >= settings.newton_tol and iters < settings.max_iter:
+    while failure is None and rnorm >= settings.newton_tol and iters < settings.max_iter:
         J = ws.jacobian(u_vals)
         lu, piv = lu_factor(J, check_finite=False)
         anorm = np.linalg.norm(J, 1)
@@ -178,7 +176,7 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
         while step >= settings.min_damping:
             U_try = U.copy()
             U_try[red] += step * delta
-            R_try, mu_try, u_try = ws.residual_mu(xi, SineSeries(p.L, U_try))
+            R_try, mu_try, u_try = ws.residual_mu(xi, U_try)
             rnorm_try = _norm(p, R_try)
             if rnorm_try < rnorm:
                 U, R, mu, u_vals, rnorm = U_try, R_try, mu_try, u_try, rnorm_try
@@ -193,8 +191,7 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     converged = rnorm < settings.newton_tol and failure is None
     if not converged and failure is None:
         failure = "max_iter"
-    Useries = SineSeries(p.L, np.where(np.arange(ws.N) == p.k - 1, 0.0, U))
-    return SolutionPoint(xi=float(xi), mu=float(mu), U=Useries,
+    return SolutionPoint(xi=float(xi), mu=float(mu), U=SineSeries(p.L, U),
                          residual_norm=rnorm, newton_iters=iters,
                          converged=converged, failure=failure)
 
@@ -210,7 +207,7 @@ def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
     red = ws.reduced
     Uc = U.padded(ws.N)
     Uc[p.k - 1] = 0.0
-    _, _, u_vals = ws.residual_mu(xi, SineSeries(p.L, Uc))
+    _, _, u_vals = ws.residual_mu(xi, Uc)
     J = ws.jacobian(u_vals)
     h = 1e-6 * (1.0 + _norm(p, Uc))
     rng = np.random.default_rng(seed)
@@ -221,8 +218,8 @@ def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
         Up, Um = Uc.copy(), Uc.copy()
         Up[red] += h * v
         Um[red] -= h * v
-        Rp, _, _ = ws.residual_mu(xi, SineSeries(p.L, Up))
-        Rm, _, _ = ws.residual_mu(xi, SineSeries(p.L, Um))
+        Rp, _, _ = ws.residual_mu(xi, Up)
+        Rm, _, _ = ws.residual_mu(xi, Um)
         fd = (Rp[red] - Rm[red]) / (2 * h)
         Jv = J @ v
         denom = max(np.linalg.norm(Jv), 1e-30)

@@ -2,19 +2,23 @@
 
 A function is stored as coefficients a_1..a_N of sum_j a_j sin(j pi x / L);
 the plain-sine convention is used throughout, so harmonics are extracted with
-the (2/L) projection factor.  Grid values live on the interior nodes
-x_m = m L / (M+1), m = 1..M.  The grid transforms are partial type-I discrete
-sine transforms: N coefficients in, or N out, of a length-M transform.  They
-are products with the cached M x N sine matrix B[m, j] = sin(j pi m/(M+1)),
-which skip the 3N coefficients the solver's M = 4N grid never uses (and the
-prime FFT length M + 1 = 257 of the default N = 64).  Multiplication by a
-grid function w is the Toeplitz-minus-Hankel matrix c_|i-j| - c_(i+j) built
-from the cosine coefficients c_n of w (Olver & Townsend, SIAM Rev. 2013).
+the (2/L) projection factor.  SineSeries is the checked form at the API
+boundary; the grid transforms and the multiplication matrix take and return
+plain arrays, since the solver calls them on every residual.  Node values
+live on the interior nodes x_m = m L / (M+1), m = 1..M, so an array of M
+values fixes the node set up to the scale L, which no transform depends on.
+The grid transforms are partial type-I discrete sine transforms: N
+coefficients in, or N out, of a length-M transform.  They are products with
+the cached M x N sine matrix B[m, j] = sin(j pi m/(M+1)), which skip the 3N
+coefficients the solver's M = 4N grid never uses (and the prime FFT length
+M + 1 = 257 of the default N = 64).  Multiplication by a grid function w is
+the Toeplitz-minus-Hankel matrix c_|i-j| - c_(i+j) built from the cosine
+coefficients c_n of w (Olver & Townsend, SIAM Rev. 2013).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,41 +92,24 @@ class SineSeries:
         return float(np.sqrt(self.L / 2.0 * np.dot(self.coeffs, self.coeffs)))
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Interior collocation nodes x_m = m L/(M+1), m = 1..M."""
-
-    M: int
-    L: float
-    nodes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got {self.M}")
-        if self.L <= 0:
-            raise ValueError(f"interval length must be positive, got {self.L}")
-        m = np.arange(1, self.M + 1, dtype=float)
-        object.__setattr__(self, "nodes", m * self.L / (self.M + 1))
-
-
-def to_grid(s: SineSeries, grid: Grid) -> np.ndarray:
-    """Values of the represented function at the grid nodes: B @ coeffs."""
-    if grid.M < 2 * s.n_modes:
+def to_grid(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Values at the M interior nodes of sum_j a_j sin(j pi x/L): B @ coeffs."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError("coefficients must be a 1-D array")
+    if M < 2 * coeffs.size:
         raise ValueError(
-            f"grid too coarse: M={grid.M} nodes for N={s.n_modes} modes (need M >= 2N)"
+            f"grid too coarse: M={M} nodes for N={coeffs.size} modes (need M >= 2N)"
         )
-    # np.isclose's test, written for scalars: it runs on every residual
-    if not abs(grid.L - s.L) <= 1e-8 + 1e-5 * abs(s.L):
-        raise ValueError(f"grid length {grid.L} does not match series length {s.L}")
-    return _sine_matrix(grid.M, s.n_modes) @ s.coeffs
+    return _sine_matrix(M, coeffs.size) @ coeffs
 
 
-def from_grid(values: np.ndarray, L: float, n_modes: int) -> SineSeries:
+def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Sine coefficients a_j = (2/L) int f sin(j pi x/L) dx from node values.
 
     The quadrature is the discrete sine transform on the node set,
-    (2/(M+1)) values @ B; the round trip from_grid(to_grid(s)) is exact to
-    roundoff when s has <= n_modes modes and the grid satisfies M >= 2 n_modes.
+    (2/(M+1)) values @ B; the round trip from_grid(to_grid(c, M), N) is exact
+    to roundoff when c has <= N modes and M >= 2N.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -132,8 +119,7 @@ def from_grid(values: np.ndarray, L: float, n_modes: int) -> SineSeries:
         raise ValueError(
             f"dimension mismatch: {M} grid values cannot resolve {n_modes} modes"
         )
-    coeffs = (2.0 / (M + 1)) * (values @ _sine_matrix(M, n_modes))
-    return SineSeries(L, coeffs)
+    return (2.0 / (M + 1)) * (values @ _sine_matrix(M, n_modes))
 
 
 def project_out(s: SineSeries, k: int) -> tuple[float, SineSeries]:

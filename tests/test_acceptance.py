@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from harmcont.asymptotics import for_catalog, mu_asymptotic, universal_profile
-from harmcont.checks import fresnel_errors, linear_suite, oracle_suite
+from harmcont.checks import asymptotics_suite, linear_suite, oracle_suite
 from harmcont.continuation import analyze, count_solutions, follow_curve
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import solution_series, solve_at_signature
@@ -185,12 +185,10 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_stationary_phase_order():
-    errs = fresnel_errors((100.0, 200.0, 400.0))
-    r1 = errs[100.0] / errs[200.0]
-    r2 = errs[200.0] / errs[400.0]
-    ok = 1.5 <= r1 <= 3.0 and 1.5 <= r2 <= 3.0
-    assert report("8 (Fresnel error ratios in [1.5, 3])", ok,
-                  f"err(100)/err(200) = {r1:.3f}, err(200)/err(400) = {r2:.3f}")
+    # the suite row holds the bounds: error ratios in [1.5, 3], |err| < 5/lambda
+    row = next(r for r in asymptotics_suite()
+               if r.name == "Fresnel remainder is O(1/lambda)")
+    assert report("8 (Fresnel error ratios in [1.5, 3])", row.passed, row.detail)
 
 
 def test_criterion_9_universal_profile():

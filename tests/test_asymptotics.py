@@ -4,7 +4,7 @@ import pytest
 from harmcont.asymptotics import (HIGHER_K, PRINCIPAL_H, AsymptoticCurve,
                                   envelope, for_catalog, mu_asymptotic,
                                   stationary_phase, universal_profile)
-from harmcont.checks import fresnel_errors, hump_sum_identity
+from harmcont.checks import hump_sum_identity
 from harmcont.oracle import oscillatory_quadrature
 from harmcont.spectral import SineSeries
 
@@ -128,11 +128,6 @@ class TestStationaryPhase:
         line = lambda x: 2.0 * np.asarray(x, dtype=float)
         with pytest.raises(ValueError, match="critical point"):
             stationary_phase(one, line, 100.0, -1.0, 1.0)
-
-    def test_remainder_is_first_order_in_lambda(self):
-        errs = fresnel_errors((100.0, 200.0, 400.0))
-        assert 1.5 <= errs[100.0] / errs[200.0] <= 3.0
-        assert 1.5 <= errs[200.0] / errs[400.0] <= 3.0
 
     def test_per_hump_sum_reproduces_curve_formula(self):
         assert hump_sum_identity(k=7, xi=23.0) < 1e-8

@@ -53,6 +53,14 @@ class TestRunCatalog:
         # no external resource references beyond the SVG namespace itself
         assert "href" not in text and "url(" not in text
 
+    def test_single_node(self, tmp_path):
+        # one node: the plot's x-range is widened, not divided by zero
+        out = tmp_path / "one"
+        assert run_cli("run", "resonant-bounded", "--xi-min", "-1", "--xi-max", "1",
+                       "--step", "5", "--out", str(out)) == EXIT_OK
+        assert len((out / "curve.csv").read_text().splitlines()) == 2
+        ET.fromstring((out / "curve.svg").read_text())
+
     def test_unknown_catalog_name(self, tmp_path):
         assert run_cli("run", "no-such-problem", "--out", str(tmp_path)) == EXIT_CONFIG
 
@@ -174,6 +182,16 @@ class TestExitCodes:
             target.write_text(config)
         assert run_cli("run", str(target), *flags,
                        "--out", str(tmp_path / "out")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"],
+        ["--step", "nan"], ["--step", "inf"], ["--xi-max", "inf"],
+    ], ids=["tol-negative", "tol-nan", "tol-inf", "max-iter-0", "step-nan",
+            "step-inf", "xi-max-inf"])
+    def test_bad_run_settings(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert run_cli("run", "cubic(1)", *QUICK, *flags, "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_verify_exit_codes_are_distinct(self):
         assert EXIT_OK == 0 and EXIT_VERIFY_FAILED == 1

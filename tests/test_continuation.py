@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from harmcont import continuation
-from harmcont.continuation import (analyze, count_solutions, follow_curve,
-                                   shape_check, xi_nodes)
+from harmcont.continuation import analyze, count_solutions, follow_curve, xi_nodes
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import SolverSettings
 from harmcont.spectral import SineSeries
@@ -130,27 +129,6 @@ class TestResonantBounded:
         assert len(analyze(c).sign_changes) >= 1
 
 
-class TestShapeCheck:
-    def test_linear_remainder_identically_zero(self):
-        c = follow_curve(linear_spec(), -25.0, 25.0, 5.0, n_modes=8)
-        rep = shape_check(c)
-        assert rep.positive is not None and rep.negative is not None
-        assert rep.positive.r_far == 0.0 and rep.negative.r_far == 0.0
-
-    def test_oscillatory_ratio_decays(self):
-        c = follow_curve(catalog("oscillatory-p512"), 5.0, 60.0, 0.5, n_modes=64)
-        rep = shape_check(c)
-        assert rep.positive.decayed and rep.positive.weighted_decayed
-        assert rep.negative is None
-
-    def test_resonance_k7_ratio_decays_in_both_norms(self):
-        c = follow_curve(catalog("resonance-k7"), 10.0, 60.0, 0.5, n_modes=128)
-        rep = shape_check(c)
-        assert rep.positive.decayed
-        assert rep.positive.weighted_decayed
-        assert "decays" in rep.summary()
-
-
 class TestBridge:
     """Step-halving bridge on g = 4 pi^2 u + 2 sin(u), where g' crosses lambda_2."""
 
@@ -202,7 +180,3 @@ class TestFigureCurveInvariants:
     def test_amann_hess_bounded_below(self, fig3_curve):
         # the crossing structure keeps the curve above a fixed floor
         assert float(np.min(fig3_curve.mu())) > -50.0
-
-    def test_fig2_shape_ratio_decays(self, fig2_curve):
-        rep = shape_check(fig2_curve)
-        assert rep.positive.decayed and rep.positive.weighted_decayed

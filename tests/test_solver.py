@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from harmcont import solver
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
-from harmcont.solver import (SolverSettings, jacobian_check, residual,
+from harmcont.solver import (SolverSettings, _Workspace, jacobian_check,
                              solution_series, solve_at_signature)
 from harmcont.spectral import SineSeries
 
@@ -20,34 +23,40 @@ def linear_spec(e_pairs=(), L=1.0, k=1, n=8):
     return ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
 
 
+def workspace_residual(p, xi, U):
+    """Projected residual coefficients and mu at the remainder U."""
+    R, mu, _ = _Workspace(p, U.n_modes).residual_mu(xi, U.coeffs)
+    return R, mu
+
+
 class TestResidual:
     def test_pure_harmonic_linear(self):
         p = linear_spec()
-        R, mu = residual(p, 1.0, SineSeries.zero(1.0, 8))
+        R, mu = workspace_residual(p, 1.0, SineSeries.zero(1.0, 8))
         assert mu == pytest.approx(-PI2, rel=1e-14)
-        assert np.all(R.coeffs == 0.0)
+        assert np.all(R == 0.0)
 
     def test_exact_remainder_zeroes_residual(self):
         p = linear_spec(e_pairs=[(2, 1.0)])
         U = SineSeries.from_pairs(1.0, [(2, -1 / (4 * PI2))], n_modes=8)
-        R, mu = residual(p, 0.0, U)
+        R, mu = workspace_residual(p, 0.0, U)
         assert mu == pytest.approx(0.0, abs=1e-14)
-        assert np.max(np.abs(R.coeffs)) < 1e-14
+        assert np.max(np.abs(R)) < 1e-14
 
     def test_projection_integral_against_quadrature(self):
         # mu at U = 0 is -lambda_1 xi + 2 int_0^1 g(xi sin pi x) sin pi x dx
         p = catalog("oscillatory-p512")
         xi = 2.0
-        R, mu = residual(p, xi, SineSeries.zero(1.0, 64))
+        R, mu = workspace_residual(p, xi, SineSeries.zero(1.0, 64))
         integrand = lambda x: p.nonlinearity.g(xi * np.sin(np.pi * x)) * np.sin(np.pi * x)
         expected = -PI2 * xi + 2 * quad(integrand, 0.0, 1.0, limit=200)[0]
         assert mu == pytest.approx(expected, abs=1e-9)
-        assert np.max(np.abs(R.coeffs)) > 1e-3  # genuinely nonlinear point
+        assert np.max(np.abs(R)) > 1e-3  # genuinely nonlinear point
 
     def test_residual_has_zero_driven_coefficient(self):
         p = catalog("resonance-k7")
-        R, _ = residual(p, 3.0, SineSeries.zero(1.0, 32))
-        assert R.coeffs[6] == 0.0
+        R, _ = workspace_residual(p, 3.0, SineSeries.zero(1.0, 32))
+        assert R[6] == 0.0
 
 
 class TestSolveLinear:
@@ -92,8 +101,8 @@ class TestSolveNonlinear:
         settings = SolverSettings(newton_tol=1e-10)
         pt = solve_at_signature(p, 4.0, settings=settings, n_modes=64)
         assert pt.converged
-        R, mu = residual(p, 4.0, pt.U)
-        assert np.sqrt(0.5 * np.dot(R.coeffs, R.coeffs)) < settings.newton_tol
+        R, mu = workspace_residual(p, 4.0, pt.U)
+        assert np.sqrt(0.5 * np.dot(R, R)) < settings.newton_tol
         assert mu == pytest.approx(pt.mu, abs=1e-14)
 
     def test_warm_start_with_driven_component_rejected(self):
@@ -122,11 +131,45 @@ class TestSolveNonlinear:
         assert pt.failure == "max_iter"
         assert pt.newton_iters == 1
 
+    def test_overflow_reported_not_raised(self):
+        # g = u^9 overflows at the start point xi = 1e40, and on every trial
+        # step from xi = 1e34, where g itself (1e306) still fits in a double
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 1.0)], n_modes=16),
+                        nonlinearity=Nonlinearity.from_expression("u^9"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = solve_at_signature(p, 1e40, n_modes=16)
+            trial = solve_at_signature(p, 1e34, n_modes=16)
+        assert not start.converged
+        assert start.failure == "non_finite" and start.newton_iters == 0
+        assert trial.failure == "line_search_stalled" and trial.newton_iters == 1
+
     def test_solution_series_combines_harmonic(self):
         pt = solve_at_signature(catalog("cubic(1)"), 0.8, n_modes=16)
         u = solution_series(pt, 1)
         assert u.coeffs[0] == 0.8
         assert np.array_equal(u.coeffs[1:], pt.U.coeffs[1:])
+
+
+class TestTracerSeam:
+    def test_solve_calls_through_module_globals(self, monkeypatch):
+        # bench/tracing.py times the layers by replacing these attributes of
+        # the solver module, so the solver must look them up at call time
+        calls = dict.fromkeys(["to_grid", "from_grid", "multiplication_matrix",
+                               "lu_factor", "dgecon"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("to_grid", "from_grid", "multiplication_matrix", "lu_factor"):
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+        monkeypatch.setattr(solver, "lapack",
+                            SimpleNamespace(dgecon=counting("dgecon", solver.lapack.dgecon)))
+        pt = solve_at_signature(catalog("oscillatory-p512"), 10.0, n_modes=16)
+        assert pt.converged and pt.newton_iters >= 1
+        assert all(calls.values()), calls
 
 
 class TestJacobianCheck:
