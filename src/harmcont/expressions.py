@@ -2,9 +2,17 @@
 
 Supports + - * / ^ (power, right-associative), unary minus, parentheses,
 the constant pi, the variable u, and the functions sin, cos, arctan, ln,
-abs.  Expressions are parsed to a small tuple tree that can be evaluated on
-numpy arrays and differentiated symbolically, so g and g' always come from
-the same source text.
+abs.  Expressions are parsed to a small tuple tree, at most MAX_DEPTH levels
+deep, and evaluated on numpy arrays or scalars with numpy semantics (1/0 is
+inf, not an exception).
+
+g' comes from the same tree by the complex step g'(u) = Im g(u + ih) / h
+(Squire & Trapp, SIAM Rev. 40, 1998): no difference is taken, so with
+h = 1e-30 it is exact to roundoff wherever g is real-analytic.  abs is
+continued analytically as -z or z by the sign of Re z.  Where g has no real
+derivative the complex step still returns a finite number: 1 for abs(u) at
+0, about 7e14 for u^0.5 at 0, and some value for u^u at 0 and at negative
+integers.
 """
 
 from __future__ import annotations
@@ -20,16 +28,22 @@ _TOKEN = re.compile(
     r"|(?P<op>\*\*|[-+*/^()]))"
 )
 
+MAX_DEPTH = 64  # nesting levels of an expression; deeper ones would exhaust Python's stack
+STEP = 1e-30  # imaginary step of g'; it enters no difference, so it need not balance roundoff
+
+
+def _abs(z):
+    # |x| continued analytically off the real axis, so the complex step sees sign(x)
+    return np.where(z.real < 0, -z, z) if np.iscomplexobj(z) else np.abs(z)
+
+
 _FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
     "arctan": np.arctan,
     "ln": np.log,
-    "abs": np.abs,
+    "abs": _abs,
 }
-
-# sign appears only in derivatives of abs, never in parsed input
-_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": np.sign}
 
 
 class ExpressionError(ValueError):
@@ -61,6 +75,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -98,13 +113,21 @@ class _Parser:
         return node
 
     def unary(self):
+        # every nesting (parentheses, signs, function arguments, exponents)
+        # passes through here, so this bounds the parser's recursion
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
         if self.peek() == "-":
             self.take()
-            return ("neg", self.unary())
-        if self.peek() == "+":
+            node = ("neg", self.unary())
+        elif self.peek() == "+":
             self.take()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -135,22 +158,38 @@ class _Parser:
         raise ExpressionError(f"unknown name {tok!r} (variable is 'u', constant 'pi')")
 
 
+def _depth(tree) -> int:
+    """Levels of a tree, counted without recursion: u+u+...+u is as deep as it is long."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [kid for node in level for kid in node[1:] if isinstance(kid, tuple)]
+    return depth
+
+
 def parse(text: str):
-    """Parse an expression string into a tree."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse an expression string into a tree at most MAX_DEPTH levels deep."""
+    tree = _Parser(_tokenize(text)).parse()
+    if _depth(tree) > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+    return tree
 
 
 def evaluate(tree, u):
-    """Evaluate a tree at u (scalar or numpy array)."""
+    """Evaluate a tree at u (real or complex, scalar or numpy array).
+
+    Scalars are numpy scalars throughout, so 1/0 gives inf and 0/0 nan
+    (with numpy's warning) where Python floats would raise.
+    """
     op = tree[0]
     if op == "num":
-        return tree[1] if np.isscalar(u) else np.full(np.shape(u), tree[1])
+        return np.full(np.shape(u), tree[1])
     if op == "var":
-        return u
+        return np.asarray(u)
     if op == "neg":
         return -evaluate(tree[1], u)
-    if op in _EVAL_FUNCTIONS:
-        return _EVAL_FUNCTIONS[op](evaluate(tree[1], u))
+    if op in _FUNCTIONS:
+        return _FUNCTIONS[op](evaluate(tree[1], u))
     a = evaluate(tree[1], u)
     b = evaluate(tree[2], u)
     if op == "add":
@@ -166,107 +205,14 @@ def evaluate(tree, u):
     raise ExpressionError(f"corrupt tree node {op!r}")
 
 
-def _is_num(tree, value=None):
-    return tree[0] == "num" and (value is None or tree[1] == value)
-
-
-def _add(a, b):
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] + b[1])
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return ("add", a, b)
-
-
-def _sub(a, b):
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] - b[1])
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return ("neg", b)
-    return ("sub", a, b)
-
-
-def _mul(a, b):
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] * b[1])
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return ("num", 0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return ("mul", a, b)
-
-
-def _div(a, b):
-    if _is_num(a, 0.0):
-        return ("num", 0.0)
-    if _is_num(b, 1.0):
-        return a
-    return ("div", a, b)
-
-
-def differentiate(tree):
-    """Symbolic derivative with respect to u, lightly simplified."""
-    op = tree[0]
-    if op == "num":
-        return ("num", 0.0)
-    if op == "var":
-        return ("num", 1.0)
-    if op == "neg":
-        d = differentiate(tree[1])
-        return ("num", 0.0) if _is_num(d, 0.0) else ("neg", d)
-    if op == "add":
-        return _add(differentiate(tree[1]), differentiate(tree[2]))
-    if op == "sub":
-        return _sub(differentiate(tree[1]), differentiate(tree[2]))
-    if op == "mul":
-        a, b = tree[1], tree[2]
-        return _add(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-    if op == "div":
-        a, b = tree[1], tree[2]
-        num = _sub(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-        return _div(num, ("pow", b, ("num", 2.0)))
-    if op == "pow":
-        base, expo = tree[1], tree[2]
-        db = differentiate(base)
-        if _is_num(expo):
-            # constant exponent: e * base^(e-1) * base'
-            return _mul(
-                _mul(expo, ("pow", base, ("num", expo[1] - 1.0))), db
-            )
-        de = differentiate(expo)
-        # general: base^expo * (expo' ln(base) + expo * base'/base)
-        inner = _add(_mul(de, ("ln", base)), _mul(expo, _div(db, base)))
-        return _mul(tree, inner)
-    if op == "sin":
-        return _mul(("cos", tree[1]), differentiate(tree[1]))
-    if op == "cos":
-        return _mul(("neg", ("sin", tree[1])), differentiate(tree[1]))
-    if op == "arctan":
-        denom = _add(("num", 1.0), ("pow", tree[1], ("num", 2.0)))
-        return _div(differentiate(tree[1]), denom)
-    if op == "ln":
-        return _div(differentiate(tree[1]), tree[1])
-    if op == "abs":
-        # weak derivative sign(f) f'; undefined at f = 0
-        return _mul(("sign", tree[1]), differentiate(tree[1]))
-    raise ExpressionError(f"corrupt tree node {op!r}")
-
-
 def compile_expression(text: str):
-    """Return (g, g_prime) callables for an expression in u."""
+    """Return (g, g_prime) callables for an expression in u; g' by complex step."""
     tree = parse(text)
-    dtree = differentiate(tree)
 
     def g(u, _tree=tree):
         return evaluate(_tree, u)
 
-    def g_prime(u, _tree=dtree):
-        return evaluate(_tree, u)
+    def g_prime(u, _tree=tree):
+        return np.imag(evaluate(_tree, u + 1j * STEP)) / STEP
 
     return g, g_prime

@@ -320,9 +320,10 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     """Load a problem + run description from an INI-style config file.
 
     Required: [problem] with keys k and g; optional L (default 1.0) and e,
-    a comma- or whitespace-separated list of mode:coefficient pairs.  The
-    optional [run] section carries xi_min, xi_max, xi_step, modes,
-    newton_tol, max_iter, mu_star (comma-separated list).
+    a comma- or whitespace-separated list of mode:coefficient pairs.  g(0)
+    must be finite, since u vanishes at both ends.  The optional [run]
+    section carries xi_min, xi_max, xi_step, modes, newton_tol, max_iter,
+    mu_star (comma-separated list).
     """
     cp = configparser.ConfigParser()
     try:
@@ -359,6 +360,11 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
         nl = Nonlinearity.from_expression(gtext)
     except (expressions.ExpressionError, ValueError) as exc:
         raise ConfigError(f"{path}: bad expression for g: {exc}") from exc
+    with np.errstate(all="ignore"):
+        g0 = float(nl.g(0.0))
+    if not np.isfinite(g0):
+        raise ConfigError(f"{path}: g(0) = {g0} is not finite, but u vanishes at "
+                          f"both ends, so g must be finite at 0")
     e = SineSeries.from_pairs(L, pairs, n_modes=k)
     spec = ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
 

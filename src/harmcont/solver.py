@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .problems import ProblemSpec
-from .spectral import SineSeries, from_grid, multiplication_matrix, to_grid
+from .spectral import (SineSeries, from_grid, l2_norm, multiplication_matrix,
+                       to_grid)
 
 __all__ = [
     "SolverSettings", "SolutionPoint", "solve_at_signature",
@@ -25,13 +26,13 @@ __all__ = [
 ]
 
 SINGULAR_CONDITION = 1e14
+MIN_DAMPING = 2.0 ** -10  # the line search halves a Newton step down to this
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     newton_tol: float = 1e-10
     max_iter: int = 50
-    min_damping: float = 2.0 ** -10
 
     def __post_init__(self):
         # NaN fails every comparison; an infinite tolerance would accept any point
@@ -39,10 +40,6 @@ class SolverSettings:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        # the line search halves the step while step >= min_damping; at 0 a
-        # stalled search would halve down to 0.0 and loop forever
-        if not 0.0 < self.min_damping <= 1.0:
-            raise ValueError("min_damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,6 @@ class _Workspace:
         return J.take(self.reduced, 0).take(self.reduced, 1)
 
 
-def _norm(p: ProblemSpec, coeffs: np.ndarray) -> float:
-    return float(np.sqrt(p.L / 2.0 * np.dot(coeffs, coeffs)))
-
-
 def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
                        settings: SolverSettings | None = None,
                        n_modes: int = 64) -> SolutionPoint:
@@ -153,7 +146,7 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     U = U0.padded(ws.N)
     U[p.k - 1] = 0.0
     R, mu, u_vals = ws.residual_mu(xi, U)
-    rnorm = _norm(p, R)
+    rnorm = l2_norm(R, p.L)
     iters = 0
     failure = None
     # g overflows or is NaN at the start point.  A trial step whose residual
@@ -173,11 +166,11 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
 
         step = 1.0
         accepted = False
-        while step >= settings.min_damping:
+        while step >= MIN_DAMPING:
             U_try = U.copy()
             U_try[red] += step * delta
             R_try, mu_try, u_try = ws.residual_mu(xi, U_try)
-            rnorm_try = _norm(p, R_try)
+            rnorm_try = l2_norm(R_try, p.L)
             if rnorm_try < rnorm:
                 U, R, mu, u_vals, rnorm = U_try, R_try, mu_try, u_try, rnorm_try
                 accepted = True
@@ -209,7 +202,7 @@ def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
     Uc[p.k - 1] = 0.0
     _, _, u_vals = ws.residual_mu(xi, Uc)
     J = ws.jacobian(u_vals)
-    h = 1e-6 * (1.0 + _norm(p, Uc))
+    h = 1e-6 * (1.0 + l2_norm(Uc, p.L))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_directions):

@@ -89,7 +89,21 @@ class SineSeries:
 
     def l2_norm(self) -> float:
         """L2 norm of the represented function: sqrt(L/2 * sum a_j^2)."""
-        return float(np.sqrt(self.L / 2.0 * np.dot(self.coeffs, self.coeffs)))
+        return l2_norm(self.coeffs, self.L)
+
+
+def l2_norm(coeffs: np.ndarray, L: float) -> float:
+    """sqrt(L/2 * sum a_j^2), the L2 norm on (0, L) of a sine series.
+
+    Finite coefficients above about 1e154 overflow the sum of squares; only
+    then is the sum taken over coefficients scaled by the largest one.
+    """
+    sq = L / 2.0 * np.dot(coeffs, coeffs)
+    if sq == np.inf and np.isfinite(coeffs).all():
+        scale = np.max(np.abs(coeffs))
+        c = coeffs / scale
+        return float(scale * np.sqrt(L / 2.0 * np.dot(c, c)))
+    return float(np.sqrt(sq))
 
 
 def to_grid(coeffs: np.ndarray, M: int) -> np.ndarray:

@@ -193,6 +193,18 @@ class TestExitCodes:
         assert run_cli("run", "cubic(1)", *QUICK, *flags, "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("g", [
+        "1/u", "u^-1", "pi^2*u + 0.1/(u^2)",
+        "(" * 300 + "u" + ")" * 300, "+".join(["u"] * 1500), "-" * 2000 + "u",
+    ], ids=["inverse", "negative-power", "inverse-square", "deep-parentheses",
+            "deep-sum", "deep-minus"])
+    def test_bad_expression(self, tmp_path, g):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(f"[problem]\ng = {g}\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_verify_exit_codes_are_distinct(self):
         assert EXIT_OK == 0 and EXIT_VERIFY_FAILED == 1
         assert EXIT_CONFIG == 2 and EXIT_GAPS == 3

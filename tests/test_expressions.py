@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from harmcont.expressions import (ExpressionError, compile_expression,
-                                  differentiate, evaluate, parse)
+from harmcont import problems
+from harmcont.expressions import (MAX_DEPTH, ExpressionError,
+                                  compile_expression, evaluate, parse)
 
 
 def test_numbers_and_constants():
@@ -59,24 +60,62 @@ def test_syntax_errors(text):
     ("1/u", "-1/u^2"),
 ])
 def test_derivative_against_closed_form(text, dtext):
-    d = differentiate(parse(text))
+    _, gp = compile_expression(text)
     ref = parse(dtext)
     for u in (0.3, 1.7, 2.9):
-        assert evaluate(d, u) == pytest.approx(evaluate(ref, u), rel=1e-12)
+        assert gp(u) == pytest.approx(evaluate(ref, u), rel=1e-12)
 
 
 def test_derivative_general_power():
     # d/du u^u = u^u (ln u + 1)
-    d = differentiate(parse("u^u"))
+    _, gp = compile_expression("u^u")
     for u in (0.5, 1.0, 2.3):
         expected = u ** u * (math.log(u) + 1)
-        assert evaluate(d, u) == pytest.approx(expected, rel=1e-12)
+        assert gp(u) == pytest.approx(expected, rel=1e-12)
 
 
 def test_derivative_abs():
-    d = differentiate(parse("abs(u)"))
-    assert evaluate(d, 2.0) == 1.0
-    assert evaluate(d, -2.0) == -1.0
+    g, gp = compile_expression("abs(u)")
+    assert gp(2.0) == 1.0
+    assert gp(-2.0) == -1.0
+    # real input keeps np.abs, so g itself is untouched by the continuation
+    u = np.array([-2.5, -0.0, 0.0, 3.0])
+    assert np.array_equal(g(u), np.abs(u))
+
+
+@pytest.mark.parametrize("name", problems.CATALOG_NAMES)
+def test_derivative_matches_catalog(name):
+    # the catalog's hand-written g' of the same descriptor, relative to
+    # max(|g'|, 1) as in problems.check_derivative
+    nl = problems.catalog(name).nonlinearity
+    _, gp = compile_expression(nl.descriptor)
+    u = np.random.default_rng(3).uniform(-50, 50, 500)
+    ref = nl.g_prime(u)
+    assert np.max(np.abs(gp(u) - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("text", ["1/u", "u^-1", "pi^2*u + 0.1/(u^2)"])
+def test_scalar_division_by_zero_is_inf(text):
+    g, _ = compile_expression(text)
+    with np.errstate(divide="ignore"):
+        assert g(0.0) == np.inf
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "u" + ")" * 300,
+    "+".join(["u"] * 1500),
+    "-" * 2000 + "u",
+], ids=["parentheses", "sum-chain", "unary-minus"])
+def test_too_deep_rejected(text):
+    with pytest.raises(ExpressionError, match="deeper than"):
+        parse(text)
+
+
+def test_depth_limit_is_inclusive():
+    parse("(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1))
+    parse("+".join(["u"] * MAX_DEPTH))
+    with pytest.raises(ExpressionError):
+        parse("+".join(["u"] * (MAX_DEPTH + 1)))
 
 
 @pytest.mark.parametrize("text", [

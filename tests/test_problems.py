@@ -179,6 +179,12 @@ mu_star = 0, 1.5
         with pytest.raises(ConfigError, match="expression"):
             load_config(self.write(tmp_path, "[problem]\ng = 2+*u\n"))
 
+    @pytest.mark.parametrize("g", ["1/u", "u^-1", "pi^2*u + 0.1/(u^2)"])
+    def test_g_not_finite_at_zero_rejected(self, tmp_path, g):
+        # u vanishes at both ends, so g(0) enters every residual
+        with pytest.raises(ConfigError, match=r"g\(0\)"):
+            load_config(self.write(tmp_path, f"[problem]\ng = {g}\n"))
+
     def test_empty_range_rejected(self, tmp_path):
         path = self.write(tmp_path,
                           "[problem]\ng = u\n[run]\nxi_min = 2\nxi_max = -2\n")

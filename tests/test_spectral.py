@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dst
 
-from harmcont.spectral import (SineSeries, eigenvalue, from_grid,
+from harmcont.spectral import (SineSeries, eigenvalue, from_grid, l2_norm,
                                modal_linear_solve, multiplication_matrix,
                                project_out, to_grid)
 
@@ -103,6 +103,18 @@ class TestGridTransforms:
         quadrature = np.sum(vals ** 2) * 3.0 / 81
         exact = 3.0 / 2 * np.sum(c ** 2)
         assert abs(quadrature - exact) / exact < 1e-10
+
+    def test_l2_norm_plain_formula(self):
+        c = np.random.default_rng(6).standard_normal(40)
+        assert l2_norm(c, 1.5) == float(np.sqrt(1.5 / 2.0 * np.dot(c, c)))
+        assert SineSeries(1.5, c).l2_norm() == l2_norm(c, 1.5)
+
+    def test_l2_norm_squares_overflow(self):
+        # 3e200 and 4e200 square past the largest double; the norm does not
+        with np.errstate(over="ignore"):
+            norm = SineSeries(2.0, [3e200, 4e200]).l2_norm()
+        assert norm == pytest.approx(5e200, rel=1e-15)
+        assert l2_norm(np.array([np.inf, 1.0]), 2.0) == np.inf
 
     def test_eval_matches_direct_sum(self):
         s = SineSeries(1.5, [0.5, -0.25, 1.0])
