@@ -40,8 +40,8 @@ offsets = [abs(z - (np.pi / 4 + round((z - np.pi / 4) / np.pi) * np.pi))
 print(f"zero crossings past xi = 30 sit within {max(offsets):.3f} of pi/4 + n pi")
 
 write_curve_csv(out / "curve.csv", curve)
-write_asymptote_csv(out / "asymptote.csv", asym, xi)
-write_svg(out / "curve.svg", curve,
-          [(float(x), float(f)) for x, f in zip(xi, formula)],
+asym_xy = [(float(x), float(mu_asymptotic(asym, float(x)))) for x in xi]
+write_asymptote_csv(out / "asymptote.csv", asym_xy)
+write_svg(out / "curve.svg", curve, asym_xy,
           title="oscillatory-p512: computed (solid) vs asymptotic (dashed)")
 print(f"artifacts in {out}/")

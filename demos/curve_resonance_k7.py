@@ -37,8 +37,8 @@ for mu_star in (0.0, 0.2, 0.5):
           f"on the sampled window")
 
 write_curve_csv(out / "curve.csv", curve)
-write_asymptote_csv(out / "asymptote.csv", asym, xi)
-write_svg(out / "curve.svg", curve,
-          [(float(x), float(f)) for x, f in zip(xi, formula)],
+asym_xy = [(float(x), float(mu_asymptotic(asym, float(x)))) for x in xi]
+write_asymptote_csv(out / "asymptote.csv", asym_xy)
+write_svg(out / "curve.svg", curve, asym_xy,
           title="resonance-k7: computed (solid) vs asymptotic (dashed)")
 print(f"artifacts in {out}/")

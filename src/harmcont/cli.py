@@ -54,12 +54,10 @@ def write_curve_csv(path: Path, curve: Curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_asymptote_csv(path: Path, asym, nodes) -> None:
+def write_asymptote_csv(path: Path, asym_xy) -> None:
+    """The (xi, mu_asymptotic) pairs as CSV rows."""
     lines = ["xi,mu_asymptotic"]
-    for xi in nodes:
-        if xi == 0.0:
-            continue
-        lines.append(f"{_fmt(xi)},{_fmt(mu_asymptotic(asym, float(xi)))}")
+    lines += [f"{_fmt(xi)},{_fmt(mu)}" for xi, mu in asym_xy]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -244,9 +242,9 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     asym_xy = None
     if asym is not None:
         nodes = xi_nodes(settings.xi_min, settings.xi_max, settings.xi_step)
-        write_asymptote_csv(out / "asymptote.csv", asym, nodes)
         asym_xy = [(float(x), float(mu_asymptotic(asym, float(x))))
                    for x in nodes if x != 0.0]
+        write_asymptote_csv(out / "asymptote.csv", asym_xy)
     write_svg(out / "curve.svg", curve, asym_xy, title=name)
 
     total = len(curve.points) + len(curve.gaps)

@@ -150,24 +150,43 @@ CATALOG_NAMES = (
 
 DEFAULT_CUBIC_LAMBDA = _PI2 / 2
 
-_CUBIC_RE = re.compile(r"cubic(?:\((?P<arg>[^)]*)\))?$")
+_CUBIC_RE = re.compile(r"cubic(?:\((?P<arg>.*)\))?$")
+
+
+def _cubic_lambda(arg: str) -> float:
+    """lambda of "cubic(arg)": a finite constant expression; ConfigError otherwise."""
+    try:
+        tree = expressions.parse(arg)
+    except expressions.ExpressionError as exc:
+        raise ConfigError(f"cubic({arg}): {exc}") from exc
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if node[0] == "var":
+            raise ConfigError(f"cubic({arg}): lambda must be a constant, not depend on u")
+        nodes += [kid for kid in node[1:] if isinstance(kid, tuple)]
+    with np.errstate(all="ignore"):
+        lam = float(expressions.evaluate(tree, 0.0))
+    if not np.isfinite(lam):
+        raise ConfigError(f"cubic({arg}): lambda = {lam} is not finite")
+    return lam
 
 
 def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
     """Return a built-in problem by name.
 
     Names: amann-hess-type, oscillatory-p512, resonance-k7, cubic(lambda),
-    resonant-bounded.  The cubic accepts a constant expression for lambda,
-    e.g. "cubic(pi^2/2)"; plain "cubic" uses lambda = pi^2/2.  For the cubic
-    the forcing e may be overridden (default 0.3 sin 2 pi x).
+    resonant-bounded.  The cubic accepts a finite constant expression for
+    lambda, e.g. "cubic(pi^2/2)" (ConfigError for one in u, one that does not
+    parse or one that is not finite); plain "cubic" uses lambda = pi^2/2.  For
+    the cubic the forcing e may be overridden (default 0.3 sin 2 pi x).  An
+    unknown name raises KeyError.
     """
     name = name.strip()
     m = _CUBIC_RE.fullmatch(name)
     if m:
         arg = m.group("arg")
-        lam = DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == "" else float(
-            expressions.evaluate(expressions.parse(arg), 0.0)
-        )
+        lam = DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == "" else _cubic_lambda(arg)
         nl = Nonlinearity(
             g=partial(_g_cubic, lam=lam),
             g_prime=partial(_gp_cubic, lam=lam),

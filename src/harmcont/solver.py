@@ -7,6 +7,12 @@ the equation fixes mu_k directly; the complementary projection is solved by
 a damped Newton iteration on the sine coefficients of U.  The iteration works
 on plain coefficient arrays; a SineSeries is built only for the returned
 point.
+
+A converged point also carries the curve tangent dU/dxi = -J^-1 A[red, k]
+(implicit function theorem), solved with the LU the last Newton iteration
+factored; continuation uses it as an Euler predictor.  The per-(problem, N)
+workspace is kept in a one-slot cache, so the nodes of a curve share one.
+The LU, its solves and the condition estimate are direct LAPACK calls.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import lapack
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .problems import ProblemSpec
 from .spectral import (SineSeries, from_grid, l2_norm, multiplication_matrix,
@@ -51,6 +58,10 @@ class SolutionPoint:
     signature of a violated g' sandwich), "line_search_stalled" or
     "non_finite" (g overflows or is NaN at the start point, so the residual
     or mu is not a finite number).
+
+    tangent is dU/dxi at the point: N coefficients, 0 in the driven slot
+    k - 1.  It is None unless the solve converged in at least one Newton
+    iteration (a 0-iteration solve factors no Jacobian).
     """
 
     xi: float
@@ -60,6 +71,16 @@ class SolutionPoint:
     newton_iters: int
     converged: bool
     failure: str | None = None
+    tangent: np.ndarray | None = None
+
+
+def lu_factor(J: np.ndarray):
+    """LU factors and pivots of J (LAPACK dgetrf); J itself is not modified.
+
+    An exactly singular J is not raised: its condition estimate is 0.
+    """
+    lu, piv, _ = dgetrf(J)
+    return lu, piv
 
 
 def solution_series(point: SolutionPoint, k: int) -> SineSeries:
@@ -84,7 +105,7 @@ class _Workspace:
         self.M = 4 * n_modes
         self.lam = (np.arange(1, self.N + 1) * np.pi / p.L) ** 2
         self.e_pad = p.e.padded(self.N)
-        self.reduced = np.array([j for j in range(self.N) if j != p.k - 1])
+        self.reduced = np.delete(np.arange(self.N), p.k - 1)
         # g(u) does not vanish at the Dirichlet ends unless g(0) = 0; its sine
         # tail then decays like 1/j and aliases into the computed modes.  Split
         # off the constant g(0), whose coefficients 2 g(0) (1 - (-1)^j)/(j pi)
@@ -117,12 +138,33 @@ class _Workspace:
         R[k - 1] = 0.0
         return R, mu, u_vals
 
-    def jacobian(self, u_vals: np.ndarray) -> np.ndarray:
-        """Dense reduced Jacobian d(residual)/dU on the non-k modes."""
+    def jacobian(self, u_vals: np.ndarray):
+        """Dense reduced Jacobian d(residual)/dU on the non-k modes, and dR/dxi.
+
+        dR/dxi is the Jacobian's column k on the same rows, A[red, k]: those
+        entries are off the diagonal, so they carry no lambda.
+        """
         gp_vals = np.asarray(self.p.nonlinearity.g_prime(u_vals), dtype=float)
         J = multiplication_matrix(gp_vals, self.N)
         J[np.diag_indices(self.N)] -= self.lam
-        return J.take(self.reduced, 0).take(self.reduced, 1)
+        rows = J.take(self.reduced, 0)
+        return rows.take(self.reduced, 1), rows[:, self.p.k - 1]
+
+
+_cached_workspace: _Workspace | None = None
+
+
+def _workspace(p: ProblemSpec, n_modes: int) -> _Workspace:
+    """The workspace of (p, n_modes), reused while consecutive solves share both.
+
+    One slot: a curve solves one problem at one resolution, node after node.
+    The slot holds p itself, so a recycled id cannot alias another problem.
+    """
+    global _cached_workspace
+    ws = _cached_workspace
+    if ws is None or ws.p is not p or ws.N != n_modes:
+        ws = _cached_workspace = _Workspace(p, n_modes)
+    return ws
 
 
 def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
@@ -133,14 +175,15 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     U0 is a warm start orthogonal to the driven harmonic (zero series if
     omitted); its mode count sets the spectral resolution unless it is None,
     in which case n_modes is used.  Non-convergence is reported in the
-    returned point, never raised.
+    returned point, never raised.  A converged point carries the tangent
+    dU/dxi from the last iteration's LU.
     """
     settings = settings or SolverSettings()
     if U0 is None:
         U0 = SineSeries.zero(p.L, n_modes)
     if p.k <= U0.n_modes and U0.coeffs[p.k - 1] != 0.0:
         raise ValueError("warm start must have zero coefficient on the driven harmonic")
-    ws = _Workspace(p, U0.n_modes)
+    ws = _workspace(p, U0.n_modes)
     red = ws.reduced
 
     U = U0.padded(ws.N)
@@ -155,14 +198,14 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
         failure = "non_finite"
 
     while failure is None and rnorm >= settings.newton_tol and iters < settings.max_iter:
-        J = ws.jacobian(u_vals)
-        lu, piv = lu_factor(J, check_finite=False)
-        anorm = np.linalg.norm(J, 1)
+        J, dR_dxi = ws.jacobian(u_vals)
+        anorm = np.abs(J).sum(0).max()  # the 1-norm
+        lu, piv = lu_factor(J)
         rcond = lapack.dgecon(lu, anorm, norm="1")[0]
         if not np.isfinite(rcond) or rcond == 0 or 1.0 / rcond > SINGULAR_CONDITION:
             failure = "singular_jacobian"
             break
-        delta = lu_solve((lu, piv), -R[red], check_finite=False)
+        delta = dgetrs(lu, piv, -R[red], overwrite_b=True)[0]
 
         step = 1.0
         accepted = False
@@ -184,9 +227,13 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     converged = rnorm < settings.newton_tol and failure is None
     if not converged and failure is None:
         failure = "max_iter"
+    tangent = None
+    if converged and iters:
+        tangent = np.zeros(ws.N)
+        tangent[red] = dgetrs(lu, piv, -dR_dxi)[0]
     return SolutionPoint(xi=float(xi), mu=float(mu), U=SineSeries(p.L, U),
                          residual_norm=rnorm, newton_iters=iters,
-                         converged=converged, failure=failure)
+                         converged=converged, failure=failure, tangent=tangent)
 
 
 def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
@@ -196,12 +243,12 @@ def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
     Compares J v against (R(U+hv) - R(U-hv)) / 2h for random directions v
     orthogonal to the driven harmonic; returns the worst relative error.
     """
-    ws = _Workspace(p, U.n_modes)
+    ws = _workspace(p, U.n_modes)
     red = ws.reduced
     Uc = U.padded(ws.N)
     Uc[p.k - 1] = 0.0
     _, _, u_vals = ws.residual_mu(xi, Uc)
-    J = ws.jacobian(u_vals)
+    J, _ = ws.jacobian(u_vals)
     h = 1e-6 * (1.0 + l2_norm(Uc, p.L))
     rng = np.random.default_rng(seed)
     worst = 0.0

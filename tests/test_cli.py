@@ -205,6 +205,21 @@ class TestExitCodes:
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["cubic(u+1)", "cubic(1/0)", "cubic(0/0)",
+                                        "cubic(foo)"],
+                             ids=["in-u", "infinite", "nan", "unknown-name"])
+    def test_bad_cubic_lambda(self, tmp_path, target):
+        out = tmp_path / "out"
+        assert run_cli("run", target, *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, lam", [("cubic(pi^2/2)", "4.934802200544679"),
+                                             ("cubic(4*arctan(1))", "3.141592653589793")])
+    def test_constant_cubic_lambda_runs(self, tmp_path, target, lam):
+        out = tmp_path / "out"
+        assert run_cli("run", target, *QUICK, "--out", str(out)) == EXIT_OK
+        assert f"problem: {lam}*u - u^3" in (out / "analysis.txt").read_text()
+
     def test_verify_exit_codes_are_distinct(self):
         assert EXIT_OK == 0 and EXIT_VERIFY_FAILED == 1
         assert EXIT_CONFIG == 2 and EXIT_GAPS == 3

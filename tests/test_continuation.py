@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,89 @@ class TestBridge:
         node_set = set(nodes.tolist())
         assert all(g.xi in node_set and g.failure for g in c.gaps)
         assert all(pt.residual_norm < 1e-10 for pt in c.points)
+
+
+class TestPredictor:
+    def test_failed_prediction_retried_from_warm_start_before_bridge(self, monkeypatch):
+        # every node of this smooth stretch is predicted; the wrapper reports
+        # the predicted attempt at fail_once as failed, and both direct
+        # attempts at fail_twice, so the bridge runs there
+        p = catalog("oscillatory-p512")
+        nodes = xi_nodes(5.0, 6.0, 0.1)
+        fail_once, fail_twice = nodes[3], nodes[7]
+        calls = []  # (xi, start coefficients, returned point), in call order
+        solve = continuation.solve_at_signature
+
+        def failing_solve(p, xi, U0, settings):
+            pt = solve(p, xi, U0, settings)
+            tries = sum(c[0] == xi for c in calls)
+            if (xi == fail_once and tries == 0) or (xi == fail_twice and tries < 2):
+                pt = dataclasses.replace(pt, converged=False, failure="max_iter",
+                                         tangent=None)
+            calls.append((float(xi), U0.coeffs.copy(), pt))
+            return pt
+
+        monkeypatch.setattr(continuation, "solve_at_signature", failing_solve)
+        c = follow_curve(p, 5.0, 6.0, 0.1, n_modes=64)
+        assert not c.gaps and len(c.points) == len(nodes)
+        assert [x for x, _, _ in calls].count(fail_once) == 2
+        assert [x for x, _, _ in calls].count(fail_twice) == 3
+
+        for i in (3, 7):
+            prev, xi = c.points[i - 1], nodes[i]
+            j = next(n for n, call in enumerate(calls) if call[0] == xi)
+            # the predicted attempt, then the same node from the plain warm start
+            assert np.array_equal(calls[j][1], prev.U.coeffs + (xi - prev.xi) * prev.tangent)
+            assert calls[j + 1][0] == xi
+            assert np.array_equal(calls[j + 1][1], prev.U.coeffs)
+            if i == 3:  # the retry converged: on to the next node
+                assert calls[j + 2][0] == nodes[4]
+                assert c.points[3] is calls[j + 1][2]
+            else:  # only then the bridge: half step from the warm start, then the node
+                half = calls[j + 2]
+                assert half[0] == prev.xi + (xi - prev.xi) / 2
+                assert np.array_equal(half[1], prev.U.coeffs)
+                assert calls[j + 3][0] == xi
+                assert np.array_equal(calls[j + 3][1], half[2].U.coeffs)
+
+    def test_fewer_newton_iterations_than_plain_warm_starts(self, monkeypatch):
+        p = catalog("oscillatory-p512")
+        predicted = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
+        solve = continuation.solve_at_signature
+        # a point without a tangent makes the next node start from its U
+        monkeypatch.setattr(continuation, "solve_at_signature",
+                            lambda *args: dataclasses.replace(solve(*args), tangent=None))
+        warm = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
+        assert np.array_equal(predicted.xi(), warm.xi())
+        assert np.max(np.abs(predicted.mu() - warm.mu())) < 1e-10
+        iters = lambda c: sum(pt.newton_iters for pt in c.points)
+        assert iters(predicted) < 0.85 * iters(warm)
+
+    def test_long_euler_step_not_taken(self, monkeypatch):
+        # g' = 4 pi^2 + A cos u crosses lambda_2, so one xi can have several
+        # remainders.  Near xi = 6.8 an unbounded Euler step lands on another
+        # one than plain warm-started marching follows; the step bound keeps
+        # the march on the plain branch
+        nl = Nonlinearity.from_expression("4*pi^2*u + 2.6836*sin(u)")
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        solve = continuation.solve_at_signature
+
+        def march():
+            return {pt.xi: pt.mu for pt in follow_curve(p, 6.0, 7.5, 0.1, n_modes=64).points}
+
+        bounded = march()
+        monkeypatch.setattr(continuation, "MAX_PREDICTOR_STEP", np.inf)
+        unbounded = march()
+        monkeypatch.setattr(continuation, "solve_at_signature",
+                            lambda *args: dataclasses.replace(solve(*args), tangent=None))
+        plain = march()
+
+        def off_branch(curve):
+            return sum(abs(mu - plain[xi]) > 1e-8 for xi, mu in curve.items() if xi in plain)
+
+        assert set(bounded) == set(plain) and off_branch(bounded) == 0
+        assert off_branch(unbounded) > 0
 
 
 class TestCurveSettingsPropagation:

@@ -193,6 +193,57 @@ class TestTracerSeam:
         assert all(calls.values()), calls
 
 
+class TestTangent:
+    # the tangent dU/dxi against a centred difference of two converged solves
+    @pytest.mark.parametrize("name,xi,n_modes", [
+        ("oscillatory-p512", 20.0, 64),
+        ("amann-hess-type", -3.0, 64),
+        ("resonance-k7", 30.0, 128),
+    ])
+    def test_matches_centred_difference(self, name, xi, n_modes):
+        p = catalog(name)
+        h = 1e-4
+        pt = solve_at_signature(p, xi, n_modes=n_modes)
+        plus = solve_at_signature(p, xi + h, pt.U)
+        minus = solve_at_signature(p, xi - h, pt.U)
+        assert pt.converged and plus.converged and minus.converged
+        fd = (plus.U.coeffs - minus.U.coeffs) / (2 * h)
+        assert np.linalg.norm(pt.tangent - fd) <= 1e-3 * np.linalg.norm(fd)
+        assert pt.tangent.shape == (n_modes,)
+        assert pt.tangent[p.k - 1] == 0.0
+
+    def test_none_on_failed_and_zero_iteration_solves(self):
+        p = catalog("oscillatory-p512")
+        failed = solve_at_signature(p, 25.0, settings=SolverSettings(max_iter=1), n_modes=64)
+        assert not failed.converged and failed.tangent is None
+        pt = solve_at_signature(p, 10.0, n_modes=64)
+        again = solve_at_signature(p, 10.0, pt.U)  # already converged: no LU
+        assert again.converged and again.newton_iters == 0
+        assert again.tangent is None
+
+
+class TestWorkspaceCache:
+    def test_reused_workspace_gives_bitwise_equal_solves(self, monkeypatch):
+        p1, p2 = catalog("oscillatory-p512"), catalog("amann-hess-type")
+        runs = [(p1, 64), (p2, 64), (p1, 64), (p1, 32)]
+        monkeypatch.setattr(solver, "_cached_workspace", None)
+        cached = []
+        for p, n in runs:
+            cached.append(solve_at_signature(p, 3.0, n_modes=n))
+            assert solver._cached_workspace.p is p and solver._cached_workspace.N == n
+        ws = solver._cached_workspace
+        solve_at_signature(p1, 3.5, n_modes=32)
+        assert solver._cached_workspace is ws  # same problem and N: reused
+        for (p, n), a in zip(runs, cached):
+            monkeypatch.setattr(solver, "_cached_workspace", None)
+            b = solve_at_signature(p, 3.0, n_modes=n)
+            assert a.converged and b.converged
+            assert (a.mu, a.residual_norm, a.newton_iters) == (b.mu, b.residual_norm,
+                                                                b.newton_iters)
+            assert np.array_equal(a.U.coeffs, b.U.coeffs)
+            assert np.array_equal(a.tangent, b.tangent)
+
+
 class TestJacobianCheck:
     def test_linear_exact(self):
         assert jacobian_check(linear_spec(), 1.0, SineSeries.zero(1.0, 8)) < 1e-9
