@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 config parse error,
 from __future__ import annotations
 
 import argparse
+import html
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -149,8 +151,11 @@ def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:
              f'<rect x="{ml}" y="{mt}" width="{W - ml - mr}" height="{H - mt - mb}" '
              'fill="none" stroke="black" stroke-width="1"/>']
     if title:
+        # what xml.sax.saxutils.escape does, without the urllib.request and
+        # http.client it imports (7 MB of resident memory)
         parts.append(f'<text x="{W / 2:.0f}" y="26" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
+                     'font-family="sans-serif" font-size="15">'
+                     f'{html.escape(title, quote=False)}</text>')
     for t in _ticks(x0, x1):
         parts.append(f'<line x1="{X(t):.2f}" y1="{H - mb}" x2="{X(t):.2f}" '
                      f'y2="{H - mb + 5}" stroke="black"/>')
@@ -222,6 +227,7 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     else:
         spec = catalog(target)  # KeyError for unknown names
         name = target.replace("(", "_").replace(")", "").replace("*", "x")
+        name = re.sub(r"[^A-Za-z0-9._-]", "_", name)  # one path component
         settings = RunSettings()
         asym = for_catalog(target)
     settings = replace(settings, **overrides)

@@ -1,4 +1,5 @@
 import csv
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -26,6 +27,16 @@ class TestRunCatalog:
         header = (out / "curve.csv").read_text().splitlines()[0]
         assert header == "xi,mu,residual_norm,U_norm,newton_iters,converged"
         assert "solutions at mu* = 0.0" in (out / "analysis.txt").read_text()
+
+    @pytest.mark.parametrize("target", ["cubic(pi^2/2)", "cubic(1/2)"])
+    def test_default_output_is_one_directory(self, tmp_path, monkeypatch, target):
+        # a "/" in the target must not nest the output under HC_OUT_DIR
+        monkeypatch.setenv("HC_OUT_DIR", str(tmp_path))
+        assert run_cli("run", target, *QUICK) == EXIT_OK
+        files = sorted(f.relative_to(tmp_path) for f in tmp_path.rglob("*") if f.is_file())
+        assert len(files) == 3 and len({f.parent for f in files}) == 1
+        assert {f.name for f in files} == {"curve.csv", "analysis.txt", "curve.svg"}
+        assert len(files[0].parts) == 2
 
     def test_asymptote_written_for_matching_problem(self, tmp_path):
         code = run_cli("run", "resonance-k7", "--xi-min", "10", "--xi-max", "11",
@@ -103,6 +114,16 @@ class TestRunConfig:
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_OK
         rows = (out / "curve.csv").read_text().splitlines()
         assert len(rows) == 4  # header + 3 nodes
+
+    def test_svg_title_escaped(self, tmp_path):
+        cfg = tmp_path / "a&b<c.cfg"
+        cfg.write_text("[problem]\ng = pi^2*u + sin(u)\ne = 2:0.3\n"
+                       "[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\nmodes = 16\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_OK
+        doc = xml.dom.minidom.parse(str(out / "curve.svg"))
+        titles = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert "a&b<c" in titles
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "mine.cfg"

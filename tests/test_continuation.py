@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from harmcont import continuation
+from harmcont import continuation, solver
 from harmcont.continuation import analyze, count_solutions, follow_curve, xi_nodes
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import SolverSettings
@@ -168,6 +168,30 @@ class TestBridge:
         node_set = set(nodes.tolist())
         assert all(g.xi in node_set and g.failure for g in c.gaps)
         assert all(pt.residual_norm < 1e-10 for pt in c.points)
+
+
+class TestKeptFactorization:
+    @pytest.mark.parametrize("A", [1.5, 3.0])
+    def test_same_branch_as_fresh_factorizations(self, monkeypatch, A):
+        # g' = 4 pi^2 + A cos u crosses lambda_2, so one xi can have several
+        # remainders; chord steps on an LU kept from the last node must not
+        # move the march to another one, nor change which nodes converge
+        nl = Nonlinearity.from_expression(f"4*pi^2*u + {A}*sin(u)")
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        kept = follow_curve(p, -10.0, 10.0, 0.1).all_rows()
+        solve = continuation.solve_at_signature
+
+        def fresh_solve(*args):
+            monkeypatch.setattr(solver, "_cached_workspace", None)
+            return solve(*args)
+
+        monkeypatch.setattr(continuation, "solve_at_signature", fresh_solve)
+        fresh = follow_curve(p, -10.0, 10.0, 0.1).all_rows()
+        assert [(pt.xi, pt.converged) for pt in kept] == [(pt.xi, pt.converged)
+                                                         for pt in fresh]
+        assert any(not pt.converged for pt in kept)
+        assert max(abs(a.mu - b.mu) for a, b in zip(kept, fresh) if a.converged) <= 1e-10
 
 
 class TestPredictor:

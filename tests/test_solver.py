@@ -29,6 +29,48 @@ def workspace_residual(p, xi, U):
     return R, mu
 
 
+def singular_spec():
+    # g'(u) == lambda_2 makes the projected linearization exactly singular
+    lam2 = 4 * PI2
+    nl = Nonlinearity(g=lambda u: lam2 * np.asarray(u, dtype=float),
+                      g_prime=lambda u: np.full(np.shape(u), lam2),
+                      descriptor="lambda_2 * u")
+    return ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 1.0)]),
+                       nonlinearity=nl)
+
+
+def stalling_spec():
+    nl = Nonlinearity(g=lambda u: 4 * PI2 * np.asarray(u) + 2 * np.sin(u),
+                      g_prime=lambda u: 4 * PI2 + 2 * np.cos(u),
+                      descriptor="4 pi^2 u + 2 sin u")
+    return ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                       nonlinearity=nl)
+
+
+def counting_lu(monkeypatch):
+    """Count solver.lu_factor calls from now on; returns the one-item counter."""
+    calls = [0]
+    lu_factor = solver.lu_factor
+
+    def counting(J):
+        calls[0] += 1
+        return lu_factor(J)
+
+    monkeypatch.setattr(solver, "lu_factor", counting)
+    return calls
+
+
+def assert_tangent_matches_centred_difference(p, pt):
+    h = 1e-4
+    plus = solve_at_signature(p, pt.xi + h, pt.U)
+    minus = solve_at_signature(p, pt.xi - h, pt.U)
+    assert pt.converged and plus.converged and minus.converged
+    fd = (plus.U.coeffs - minus.U.coeffs) / (2 * h)
+    assert np.linalg.norm(pt.tangent - fd) <= 1e-3 * np.linalg.norm(fd)
+    assert pt.tangent.shape == (pt.U.n_modes,)
+    assert pt.tangent[p.k - 1] == 0.0
+
+
 class TestResidual:
     def test_pure_harmonic_linear(self):
         p = linear_spec()
@@ -112,14 +154,7 @@ class TestSolveNonlinear:
             solve_at_signature(p, 1.0, U0)
 
     def test_singular_jacobian_reported(self):
-        # g'(u) == lambda_2 makes the projected linearization exactly singular
-        lam2 = 4 * PI2
-        nl = Nonlinearity(g=lambda u: lam2 * np.asarray(u, dtype=float),
-                          g_prime=lambda u: np.full(np.shape(u), lam2),
-                          descriptor="lambda_2 * u")
-        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 1.0)]),
-                        nonlinearity=nl)
-        pt = solve_at_signature(p, 0.0, n_modes=8)
+        pt = solve_at_signature(singular_spec(), 0.0, n_modes=8)
         assert not pt.converged
         assert pt.failure == "singular_jacobian"
 
@@ -202,15 +237,22 @@ class TestTangent:
     ])
     def test_matches_centred_difference(self, name, xi, n_modes):
         p = catalog(name)
-        h = 1e-4
-        pt = solve_at_signature(p, xi, n_modes=n_modes)
-        plus = solve_at_signature(p, xi + h, pt.U)
-        minus = solve_at_signature(p, xi - h, pt.U)
-        assert pt.converged and plus.converged and minus.converged
-        fd = (plus.U.coeffs - minus.U.coeffs) / (2 * h)
-        assert np.linalg.norm(pt.tangent - fd) <= 1e-3 * np.linalg.norm(fd)
-        assert pt.tangent.shape == (n_modes,)
-        assert pt.tangent[p.k - 1] == 0.0
+        assert_tangent_matches_centred_difference(p, solve_at_signature(p, xi, n_modes=n_modes))
+
+    @pytest.mark.parametrize("name,xi,n_modes", [
+        ("oscillatory-p512", 7.0, 64),
+        ("amann-hess-type", -3.0, 64),
+        ("resonance-k7", 30.0, 128),
+    ])
+    def test_converged_on_kept_factorization(self, monkeypatch, name, xi, n_modes):
+        # the next node of a curve, started from the Euler predictor, converges
+        # on chord steps alone, on the LU factored for the last node
+        p = catalog(name)
+        last = solve_at_signature(p, xi - 0.1, n_modes=n_modes)
+        lu_calls = counting_lu(monkeypatch)
+        pt = solve_at_signature(p, xi, SineSeries(p.L, last.U.coeffs + 0.1 * last.tangent))
+        assert lu_calls[0] == 0 and pt.newton_iters >= 1
+        assert_tangent_matches_centred_difference(p, pt)
 
     def test_none_on_failed_and_zero_iteration_solves(self):
         p = catalog("oscillatory-p512")
@@ -244,6 +286,59 @@ class TestWorkspaceCache:
             assert np.array_equal(a.tangent, b.tangent)
 
 
+class TestFactorizationReuse:
+    def test_rejected_chord_step_leaves_the_iteration_unchanged(self, monkeypatch):
+        # an LU kept from xi = 40 does not contract at xi = 10: the chord step
+        # is discarded, and the solve is the cold-cache solve bit for bit
+        p = catalog("oscillatory-p512")
+        monkeypatch.setattr(solver, "_cached_workspace", None)
+        assert solve_at_signature(p, 40.0, n_modes=64).converged
+        assert solver._cached_workspace.factor is not None
+        residuals = [0]
+        residual_mu = _Workspace.residual_mu
+
+        def counting(ws, xi, U):
+            residuals[0] += 1
+            return residual_mu(ws, xi, U)
+
+        monkeypatch.setattr(_Workspace, "residual_mu", counting)
+        kept = solve_at_signature(p, 10.0, n_modes=64)
+        kept_residuals, residuals[0] = residuals[0], 0
+        monkeypatch.setattr(solver, "_cached_workspace", None)
+        cold = solve_at_signature(p, 10.0, n_modes=64)
+        assert kept_residuals == residuals[0] + 1  # the discarded chord step
+        assert kept.converged and cold.converged
+        assert (kept.mu, kept.residual_norm, kept.newton_iters) == (
+            cold.mu, cold.residual_norm, cold.newton_iters)
+        assert np.array_equal(kept.U.coeffs, cold.U.coeffs)
+        assert np.array_equal(kept.tangent, cold.tangent)
+
+    def test_singular_jacobian_reported_with_kept_factorization(self, monkeypatch):
+        p = singular_spec()
+        ws = _Workspace(p, 8)
+        n = ws.reduced.size
+        ws.factor = (*solver.lu_factor(np.eye(n)), np.zeros(n))
+        monkeypatch.setattr(solver, "_cached_workspace", ws)
+        pt = solve_at_signature(p, 0.0, n_modes=8)
+        assert solver._cached_workspace is ws
+        assert not pt.converged and pt.failure == "singular_jacobian"
+        assert ws.factor is None
+
+    @pytest.mark.parametrize("xi,settings,failure", [
+        (25.0, SolverSettings(max_iter=1), "max_iter"),
+        (-9.8, SolverSettings(), "line_search_stalled"),
+    ])
+    def test_failed_solve_drops_factorization(self, xi, settings, failure):
+        # the problem of test_stalled_line_search_terminates for the stall
+        p = catalog("oscillatory-p512") if failure == "max_iter" else stalling_spec()
+        assert solve_at_signature(p, xi - 0.1, n_modes=64).converged
+        ws = solver._cached_workspace
+        assert ws.factor is not None
+        pt = solve_at_signature(p, xi, settings=settings, n_modes=64)
+        assert pt.failure == failure
+        assert solver._cached_workspace is ws and ws.factor is None
+
+
 class TestJacobianCheck:
     def test_linear_exact(self):
         assert jacobian_check(linear_spec(), 1.0, SineSeries.zero(1.0, 8)) < 1e-9
@@ -271,13 +366,7 @@ class TestSettingsValidation:
             SolverSettings(max_iter=0)
 
     def test_stalled_line_search_terminates(self):
-        nl = Nonlinearity(g=lambda u: 4 * PI2 * np.asarray(u) + 2 * np.sin(u),
-                          g_prime=lambda u: 4 * PI2 + 2 * np.cos(u),
-                          descriptor="4 pi^2 u + 2 sin u")
-        p = ProblemSpec(L=1.0, k=1,
-                        e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
-                        nonlinearity=nl)
-        pt = solve_at_signature(p, -9.8)
+        pt = solve_at_signature(stalling_spec(), -9.8)
         assert pt.failure == "line_search_stalled"
 
 
