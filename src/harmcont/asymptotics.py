@@ -120,7 +120,6 @@ def stationary_phase(f, g, lam: float, a: float, b: float,
                     hi = mid
                 else:
                     lo, glo = mid, gm
-                x0 = 0.5 * (lo + hi)
             x0 = 0.5 * (lo + hi)
     g2 = _second_derivative(g, x0, 1e-4 * width)
     if abs(g2) < 1e-8:

@@ -24,6 +24,9 @@ ORACLE_MODES = {
     "resonant-bounded": 64,
 }
 ORACLE_XI = (-10.0, -3.0, 0.0, 3.0, 10.0)
+ORACLE_DMU_TOL = 1e-8  # worst |mu_spectral - mu_shooting| over ORACLE_XI
+ORACLE_SUP_TOL = 1e-6  # worst sup |u_spectral - u_shooting| over ORACLE_XI
+FRESNEL_LAMS = (100.0, 200.0, 400.0)  # each twice the last, for the O(1/lam) ratios
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ def oracle_pair(p: problems.ProblemSpec, xi: float, n_modes: int,
     return pt, shot, dmu, sup
 
 
-def oracle_suite(xi_values=ORACLE_XI, dmu_tol: float = 1e-8,
-                 sup_tol: float = 1e-6) -> list[CheckRow]:
+def oracle_suite() -> list[CheckRow]:
     """Spectral vs shooting cross-validation over the whole catalog."""
     rows = []
     for name, n_modes in ORACLE_MODES.items():
@@ -103,26 +105,26 @@ def oracle_suite(xi_values=ORACLE_XI, dmu_tol: float = 1e-8,
         n_steps = 10_000 if (p.k > 1 or name.startswith("cubic")) else 6_000
         worst_dmu = worst_sup = 0.0
         all_ok = True
-        for xi in xi_values:
+        for xi in ORACLE_XI:
             pt, shot, dmu, sup = oracle_pair(p, xi, n_modes, n_steps)
             all_ok &= pt.converged and shot.converged
             worst_dmu = max(worst_dmu, dmu)
             worst_sup = max(worst_sup, sup)
         rows.append(_row(
             "oracle", name,
-            all_ok and worst_dmu < dmu_tol and worst_sup < sup_tol,
+            all_ok and worst_dmu < ORACLE_DMU_TOL and worst_sup < ORACLE_SUP_TOL,
             f"worst |dmu| = {worst_dmu:.2e}, worst sup = {worst_sup:.2e}"
             + ("" if all_ok else ", NON-CONVERGENCE"),
         ))
     return rows
 
 
-def fresnel_errors(lams=(100.0, 200.0, 400.0)) -> dict[float, float]:
+def fresnel_errors() -> dict[float, float]:
     """Absolute stationary-phase error on int_{-1}^{1} e^{i lam x^2} dx."""
     one = lambda x: np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
     sq = lambda x: np.asarray(x, dtype=float) ** 2
     out = {}
-    for lam in lams:
+    for lam in FRESNEL_LAMS:
         sp = asymptotics.stationary_phase(one, sq, lam, -1.0, 1.0)
         qu = oracle.oscillatory_quadrature(one, sq, lam, -1.0, 1.0)
         out[lam] = abs(sp - qu)
@@ -167,8 +169,9 @@ def asymptotics_suite() -> list[CheckRow]:
                      f"max |mu|-env = {np.max(vals - env):.2e}, touch defect = {touch:.2e}"))
 
     errs = fresnel_errors()
-    r1 = errs[100.0] / errs[200.0]
-    r2 = errs[200.0] / errs[400.0]
+    lam1, lam2, lam3 = FRESNEL_LAMS
+    r1 = errs[lam1] / errs[lam2]
+    r2 = errs[lam2] / errs[lam3]
     ok = 1.5 <= r1 <= 3.0 and 1.5 <= r2 <= 3.0
     ok = ok and all(errs[lam] < 5.0 / lam for lam in errs)
     rows.append(_row("asymptotics", "Fresnel remainder is O(1/lambda)", ok,

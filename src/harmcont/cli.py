@@ -38,6 +38,7 @@ EXIT_GAPS = 3
 EXIT_INTERNAL = 4
 
 GAP_FRACTION_LIMIT = 0.10
+N_TICKS = 6  # ticks an SVG axis aims for
 
 
 def _fmt(x: float) -> str:
@@ -91,11 +92,11 @@ def write_analysis_txt(path: Path, curve: Curve, mu_stars) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / max(n - 1, 1)
+    raw = span / (N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -20,6 +20,8 @@ from scipy.integrate import quad
 
 from .problems import ProblemSpec
 
+MAX_PANELS = 200_000  # oscillatory_quadrature refuses integrands that need more
+
 
 @dataclass(frozen=True)
 class ShootingResult:
@@ -164,8 +166,7 @@ def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000,
 
 
 def oscillatory_quadrature(f, g, lam: float, a: float, b: float,
-                           abs_tol: float = 1e-10,
-                           max_panels: int = 200_000) -> complex:
+                           abs_tol: float = 1e-10) -> complex:
     """Reference value of int_a^b f(x) e^{i lam g(x)} dx.
 
     The interval is pre-split into panels no wider than an eighth of the
@@ -180,8 +181,8 @@ def oscillatory_quadrature(f, g, lam: float, a: float, b: float,
     if lam != 0.0 and gp_max > 0:
         period = 2 * np.pi / (abs(lam) * gp_max)
         n_panels = int(np.ceil((b - a) / (period / 8.0)))
-        n_panels = max(1, min(n_panels, max_panels))
-        if n_panels == max_panels:
+        n_panels = max(1, min(n_panels, MAX_PANELS))
+        if n_panels == MAX_PANELS:
             raise ValueError("panel budget exceeded; integrand oscillates too fast")
     else:
         n_panels = 1

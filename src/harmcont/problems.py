@@ -18,6 +18,11 @@ from . import expressions
 from .spectral import SineSeries, eigenvalue
 
 _PI2 = np.pi ** 2
+# check_derivative: sample count and range of u, and the largest relative error
+DERIVATIVE_SAMPLES = 100
+DERIVATIVE_RANGE = (-50.0, 50.0)
+DERIVATIVE_RTOL = 1e-5
+CONDITION_SAMPLES = 10_000  # points of u_range that validate_conditions samples
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,16 @@ class ProblemSpec:
             )
 
 
-def check_derivative(nl: Nonlinearity, lo: float = -50.0, hi: float = 50.0,
-                     n: int = 100, rtol: float = 1e-5) -> float:
+def check_derivative(nl: Nonlinearity) -> float:
     """Verify g_prime against centered differences of g at random sample points.
 
-    Returns the worst relative error; raises if it exceeds rtol.  Samples where
-    g fails to evaluate finitely are skipped (the solver would reject them too).
+    Returns the worst relative error; raises if it exceeds DERIVATIVE_RTOL.
+    Samples where g fails to evaluate finitely are skipped (the solver would
+    reject them too).
     """
     rng = np.random.default_rng(20240)
-    u = rng.uniform(lo, hi, n)
+    lo, hi = DERIVATIVE_RANGE
+    u = rng.uniform(lo, hi, DERIVATIVE_SAMPLES)
     h = 1e-6 * (1.0 + np.abs(u))
     with np.errstate(all="ignore"):
         fd = (np.asarray(nl.g(u + h), dtype=float) - np.asarray(nl.g(u - h), dtype=float)) / (2 * h)
@@ -75,10 +81,10 @@ def check_derivative(nl: Nonlinearity, lo: float = -50.0, hi: float = 50.0,
         raise ValueError(f"nonlinearity {nl.descriptor!r} not finite on [{lo}, {hi}]")
     scale = np.maximum(np.abs(gp[ok]), 1.0)
     err = float(np.max(np.abs(fd[ok] - gp[ok]) / scale))
-    if err > rtol:
+    if err > DERIVATIVE_RTOL:
         raise ValueError(
             f"g_prime disagrees with finite differences of g for {nl.descriptor!r}: "
-            f"relative error {err:.2e} > {rtol:.0e}"
+            f"relative error {err:.2e} > {DERIVATIVE_RTOL:.0e}"
         )
     return err
 
@@ -265,14 +271,13 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def validate_conditions(p: ProblemSpec, u_range: tuple[float, float],
-                        samples: int = 10_000) -> ConditionReport:
+def validate_conditions(p: ProblemSpec, u_range: tuple[float, float]) -> ConditionReport:
     """Sample g' and g(u)/u on u_range and report which hypotheses hold.
 
     Dense sampling only; advisory diagnostics, not a proof.
     """
     lo, hi = float(u_range[0]), float(u_range[1])
-    u = np.linspace(lo, hi, samples)
+    u = np.linspace(lo, hi, CONDITION_SAMPLES)
     gp = np.asarray(p.nonlinearity.g_prime(u), dtype=float)
     gp_min, gp_max = float(np.min(gp)), float(np.max(gp))
 

@@ -18,13 +18,8 @@ discarded, and the solve goes on from the same iterate as it would without a
 kept LU: damped Newton with a fresh Jacobian, its condition check and the
 line search in every iteration; each fresh LU replaces the kept one.  A
 failed solve drops the kept LU.  Successive nodes of a curve are close, so
-most of them converge on chord steps alone.
-
-A converged point also carries the curve tangent dU/dxi = -J^-1 A[red, k]
-(implicit function theorem), solved with the kept LU, and refined at the
-point itself when that LU was factored at another point; continuation uses
-it as an Euler predictor.  The LU, its solves and the condition estimate are
-direct LAPACK calls.
+most of them converge on chord steps alone.  The LU, its solves and the
+condition estimate are direct LAPACK calls.
 """
 
 from __future__ import annotations
@@ -50,6 +45,8 @@ MIN_DAMPING = 2.0 ** -10  # the line search halves a Newton step down to this
 # value.  With 0.25, oscillatory-p512 took 9.2 steps per node and mu moved by
 # up to 6.6e-11 against the committed figure curves (3.0e-11 with 0.01).
 THETA = 0.01
+JACOBIAN_CHECK_DIRECTIONS = 5  # random directions jacobian_check probes
+JACOBIAN_CHECK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,8 @@ class SolutionPoint:
     "non_finite" (g overflows or is NaN at the start point, so the residual
     or mu is not a finite number).
 
-    tangent is dU/dxi at the point: N coefficients, 0 in the driven slot
-    k - 1.  It is None unless the solve converged in at least one Newton
-    iteration.  newton_iters counts chord steps and fresh Newton steps alike,
-    and max_iter bounds both.
+    newton_iters counts chord steps and fresh Newton steps alike, and
+    max_iter bounds both.
     """
 
     xi: float
@@ -88,7 +83,6 @@ class SolutionPoint:
     newton_iters: int
     converged: bool
     failure: str | None = None
-    tangent: np.ndarray | None = None
 
 
 def lu_factor(J: np.ndarray):
@@ -130,7 +124,7 @@ class _Workspace:
         self.g0 = float(np.asarray(p.nonlinearity.g(0.0), dtype=float))
         j = np.arange(1, self.N + 1)
         self.const_coeffs = 2.0 * (1.0 - (-1.0) ** j) / (j * np.pi)
-        # (lu, piv, dR/dxi) of the last Jacobian factored, until a solve fails
+        # (lu, piv) of the last Jacobian factored, until a solve fails
         self.factor = None
 
     def g_coefficients(self, g_vals: np.ndarray) -> np.ndarray:
@@ -157,37 +151,12 @@ class _Workspace:
         R[k - 1] = 0.0
         return R, mu, u_vals
 
-    def jacobian(self, u_vals: np.ndarray):
-        """Dense reduced Jacobian d(residual)/dU on the non-k modes, and dR/dxi.
-
-        dR/dxi is the Jacobian's column k on the same rows, A[red, k]: those
-        entries are off the diagonal, so they carry no lambda.
-        """
+    def jacobian(self, u_vals: np.ndarray) -> np.ndarray:
+        """Dense reduced Jacobian d(residual)/dU on the non-k modes."""
         gp_vals = np.asarray(self.p.nonlinearity.g_prime(u_vals), dtype=float)
         J = multiplication_matrix(gp_vals, self.N)
         J[np.diag_indices(self.N)] -= self.lam
-        rows = J.take(self.reduced, 0)
-        return rows.take(self.reduced, 1), rows[:, self.p.k - 1]
-
-    def tangent(self, u_vals: np.ndarray, lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
-        """dU/dxi = -J^-1 A[red, k] at u, from an LU of a Jacobian near u.
-
-        Two sweeps of iterative refinement from t = 0: each solves with lu for
-        the linearized residual J t + A[red, k] at u, that is the Jacobian
-        applied to the direction (xi, U) = (1, t), by one transform pair
-        instead of a matrix.  The first sweep gives -lu^-1 A[red, k]; when lu
-        factors another point's Jacobian, each sweep cuts the error by about
-        the contraction ratio of a chord step.
-        """
-        gp_vals = np.asarray(self.p.nonlinearity.g_prime(u_vals), dtype=float)
-        k = self.p.k
-        v = np.zeros(self.N)
-        for _ in range(2):
-            v[k - 1] = 1.0
-            r = from_grid(gp_vals * to_grid(v, self.M), self.N) - self.lam * v
-            v[self.reduced] -= dgetrs(lu, piv, r[self.reduced])[0]
-        v[k - 1] = 0.0
-        return v
+        return J.take(self.reduced, 0).take(self.reduced, 1)
 
     def trial(self, xi: float, U: np.ndarray, delta: np.ndarray, step: float):
         """U moved by step * delta on the non-k modes, its R, mu, u and |R|."""
@@ -221,8 +190,7 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     U0 is a warm start orthogonal to the driven harmonic (zero series if
     omitted); its mode count sets the spectral resolution unless it is None,
     in which case n_modes is used.  Non-convergence is reported in the
-    returned point, never raised.  A converged point carries the tangent
-    dU/dxi from the kept LU.
+    returned point, never raised.
     """
     settings = settings or SolverSettings()
     if U0 is None:
@@ -246,7 +214,7 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     chord = ws.factor is not None  # no chord step discarded yet
     while failure is None and rnorm >= settings.newton_tol and iters < settings.max_iter:
         if chord:
-            lu, piv, _ = ws.factor
+            lu, piv = ws.factor
             delta = dgetrs(lu, piv, -R[red], overwrite_b=True)[0]
             trial = ws.trial(xi, U, delta, 1.0)
             if trial[-1] <= THETA * rnorm:
@@ -254,14 +222,14 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
                 iters += 1
                 continue
             chord = False
-        J, dR_dxi = ws.jacobian(u_vals)
+        J = ws.jacobian(u_vals)
         anorm = np.abs(J).sum(0).max()  # the 1-norm
         lu, piv = lu_factor(J)
         rcond = lapack.dgecon(lu, anorm, norm="1")[0]
         if not np.isfinite(rcond) or rcond == 0 or 1.0 / rcond > SINGULAR_CONDITION:
             failure = "singular_jacobian"
             break
-        ws.factor = (lu, piv, dR_dxi)
+        ws.factor = (lu, piv)
         delta = dgetrs(lu, piv, -R[red], overwrite_b=True)[0]
 
         step = 1.0
@@ -282,21 +250,12 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     if not converged:
         failure = failure or "max_iter"
         ws.factor = None
-    tangent = None
-    if converged and iters:
-        lu, piv, dR_dxi = ws.factor
-        if chord:  # the kept LU factors the Jacobian at another point
-            tangent = ws.tangent(u_vals, lu, piv)
-        else:
-            tangent = np.zeros(ws.N)
-            tangent[red] = dgetrs(lu, piv, -dR_dxi)[0]
     return SolutionPoint(xi=float(xi), mu=float(mu), U=SineSeries(p.L, U),
                          residual_norm=rnorm, newton_iters=iters,
-                         converged=converged, failure=failure, tangent=tangent)
+                         converged=converged, failure=failure)
 
 
-def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
-                   n_directions: int = 5, seed: int = 0) -> float:
+def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries) -> float:
     """Finite-difference validation of the assembled Jacobian.
 
     Compares J v against (R(U+hv) - R(U-hv)) / 2h for random directions v
@@ -307,11 +266,11 @@ def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries,
     Uc = U.padded(ws.N)
     Uc[p.k - 1] = 0.0
     _, _, u_vals = ws.residual_mu(xi, Uc)
-    J, _ = ws.jacobian(u_vals)
+    J = ws.jacobian(u_vals)
     h = 1e-6 * (1.0 + l2_norm(Uc, p.L))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(JACOBIAN_CHECK_SEED)
     worst = 0.0
-    for _ in range(n_directions):
+    for _ in range(JACOBIAN_CHECK_DIRECTIONS):
         v = rng.standard_normal(red.size)
         v /= np.linalg.norm(v)
         Up, Um = Uc.copy(), Uc.copy()

@@ -196,9 +196,9 @@ class TestKeptFactorization:
 
 class TestPredictor:
     def test_failed_prediction_retried_from_warm_start_before_bridge(self, monkeypatch):
-        # every node of this smooth stretch is predicted; the wrapper reports
-        # the predicted attempt at fail_once as failed, and both direct
-        # attempts at fail_twice, so the bridge runs there
+        # every node of this smooth stretch from the third on is predicted; the
+        # wrapper reports the predicted attempt at fail_once as failed, and
+        # both direct attempts at fail_twice, so the bridge runs there
         p = catalog("oscillatory-p512")
         nodes = xi_nodes(5.0, 6.0, 0.1)
         fail_once, fail_twice = nodes[3], nodes[7]
@@ -209,8 +209,7 @@ class TestPredictor:
             pt = solve(p, xi, U0, settings)
             tries = sum(c[0] == xi for c in calls)
             if (xi == fail_once and tries == 0) or (xi == fail_twice and tries < 2):
-                pt = dataclasses.replace(pt, converged=False, failure="max_iter",
-                                         tangent=None)
+                pt = dataclasses.replace(pt, converged=False, failure="max_iter")
             calls.append((float(xi), U0.coeffs.copy(), pt))
             return pt
 
@@ -219,12 +218,17 @@ class TestPredictor:
         assert not c.gaps and len(c.points) == len(nodes)
         assert [x for x, _, _ in calls].count(fail_once) == 2
         assert [x for x, _, _ in calls].count(fail_twice) == 3
+        # one converged point is no secant: the second node starts from the first
+        assert [x for x, _, _ in calls[:3]] == list(nodes[:3])
+        assert np.array_equal(calls[1][1], c.points[0].U.coeffs)
 
         for i in (3, 7):
-            prev, xi = c.points[i - 1], nodes[i]
+            prev2, prev, xi = c.points[i - 2], c.points[i - 1], nodes[i]
             j = next(n for n, call in enumerate(calls) if call[0] == xi)
-            # the predicted attempt, then the same node from the plain warm start
-            assert np.array_equal(calls[j][1], prev.U.coeffs + (xi - prev.xi) * prev.tangent)
+            # the secant attempt, then the same node from the plain warm start
+            secant = prev.U.coeffs + (xi - prev.xi) / (prev.xi - prev2.xi) * (
+                prev.U.coeffs - prev2.U.coeffs)
+            assert np.array_equal(calls[j][1], secant)
             assert calls[j + 1][0] == xi
             assert np.array_equal(calls[j + 1][1], prev.U.coeffs)
             if i == 3:  # the retry converged: on to the next node
@@ -240,10 +244,8 @@ class TestPredictor:
     def test_fewer_newton_iterations_than_plain_warm_starts(self, monkeypatch):
         p = catalog("oscillatory-p512")
         predicted = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
-        solve = continuation.solve_at_signature
-        # a point without a tangent makes the next node start from its U
-        monkeypatch.setattr(continuation, "solve_at_signature",
-                            lambda *args: dataclasses.replace(solve(*args), tangent=None))
+        # no secant step is short enough: every node starts from the last U
+        monkeypatch.setattr(continuation, "MAX_PREDICTOR_STEP", 0.0)
         warm = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
         assert np.array_equal(predicted.xi(), warm.xi())
         assert np.max(np.abs(predicted.mu() - warm.mu())) < 1e-10
@@ -252,13 +254,12 @@ class TestPredictor:
 
     def test_long_euler_step_not_taken(self, monkeypatch):
         # g' = 4 pi^2 + A cos u crosses lambda_2, so one xi can have several
-        # remainders.  Near xi = 6.8 an unbounded Euler step lands on another
+        # remainders.  Near xi = 6.8 an unbounded secant step lands on another
         # one than plain warm-started marching follows; the step bound keeps
         # the march on the plain branch
         nl = Nonlinearity.from_expression("4*pi^2*u + 2.6836*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
                         nonlinearity=nl)
-        solve = continuation.solve_at_signature
 
         def march():
             return {pt.xi: pt.mu for pt in follow_curve(p, 6.0, 7.5, 0.1, n_modes=64).points}
@@ -266,8 +267,7 @@ class TestPredictor:
         bounded = march()
         monkeypatch.setattr(continuation, "MAX_PREDICTOR_STEP", np.inf)
         unbounded = march()
-        monkeypatch.setattr(continuation, "solve_at_signature",
-                            lambda *args: dataclasses.replace(solve(*args), tangent=None))
+        monkeypatch.setattr(continuation, "MAX_PREDICTOR_STEP", 0.0)
         plain = march()
 
         def off_branch(curve):

@@ -60,17 +60,6 @@ def counting_lu(monkeypatch):
     return calls
 
 
-def assert_tangent_matches_centred_difference(p, pt):
-    h = 1e-4
-    plus = solve_at_signature(p, pt.xi + h, pt.U)
-    minus = solve_at_signature(p, pt.xi - h, pt.U)
-    assert pt.converged and plus.converged and minus.converged
-    fd = (plus.U.coeffs - minus.U.coeffs) / (2 * h)
-    assert np.linalg.norm(pt.tangent - fd) <= 1e-3 * np.linalg.norm(fd)
-    assert pt.tangent.shape == (pt.U.n_modes,)
-    assert pt.tangent[p.k - 1] == 0.0
-
-
 class TestResidual:
     def test_pure_harmonic_linear(self):
         p = linear_spec()
@@ -229,39 +218,26 @@ class TestTracerSeam:
 
 
 class TestTangent:
-    # the tangent dU/dxi against a centred difference of two converged solves
-    @pytest.mark.parametrize("name,xi,n_modes", [
-        ("oscillatory-p512", 20.0, 64),
-        ("amann-hess-type", -3.0, 64),
-        ("resonance-k7", 30.0, 128),
-    ])
-    def test_matches_centred_difference(self, name, xi, n_modes):
-        p = catalog(name)
-        assert_tangent_matches_centred_difference(p, solve_at_signature(p, xi, n_modes=n_modes))
-
     @pytest.mark.parametrize("name,xi,n_modes", [
         ("oscillatory-p512", 7.0, 64),
         ("amann-hess-type", -3.0, 64),
         ("resonance-k7", 30.0, 128),
     ])
     def test_converged_on_kept_factorization(self, monkeypatch, name, xi, n_modes):
-        # the next node of a curve, started from the Euler predictor, converges
-        # on chord steps alone, on the LU factored for the last node
+        # the next node of a curve, started from the secant through the two
+        # previous nodes (a difference approximation of the curve tangent),
+        # converges on chord steps alone, on the LU factored for those nodes
         p = catalog(name)
-        last = solve_at_signature(p, xi - 0.1, n_modes=n_modes)
+        prev = solve_at_signature(p, xi - 0.2, n_modes=n_modes)
+        last = solve_at_signature(p, xi - 0.1, prev.U)
+        secant = last.U.coeffs + (xi - last.xi) / (last.xi - prev.xi) * (
+            last.U.coeffs - prev.U.coeffs)
         lu_calls = counting_lu(monkeypatch)
-        pt = solve_at_signature(p, xi, SineSeries(p.L, last.U.coeffs + 0.1 * last.tangent))
+        pt = solve_at_signature(p, xi, SineSeries(p.L, secant))
         assert lu_calls[0] == 0 and pt.newton_iters >= 1
-        assert_tangent_matches_centred_difference(p, pt)
-
-    def test_none_on_failed_and_zero_iteration_solves(self):
-        p = catalog("oscillatory-p512")
-        failed = solve_at_signature(p, 25.0, settings=SolverSettings(max_iter=1), n_modes=64)
-        assert not failed.converged and failed.tangent is None
-        pt = solve_at_signature(p, 10.0, n_modes=64)
-        again = solve_at_signature(p, 10.0, pt.U)  # already converged: no LU
-        assert again.converged and again.newton_iters == 0
-        assert again.tangent is None
+        monkeypatch.setattr(solver, "_cached_workspace", None)
+        cold = solve_at_signature(p, xi, n_modes=n_modes)
+        assert pt.converged and abs(pt.mu - cold.mu) <= 1e-10
 
 
 class TestWorkspaceCache:
@@ -283,7 +259,6 @@ class TestWorkspaceCache:
             assert (a.mu, a.residual_norm, a.newton_iters) == (b.mu, b.residual_norm,
                                                                 b.newton_iters)
             assert np.array_equal(a.U.coeffs, b.U.coeffs)
-            assert np.array_equal(a.tangent, b.tangent)
 
 
 class TestFactorizationReuse:
@@ -311,13 +286,12 @@ class TestFactorizationReuse:
         assert (kept.mu, kept.residual_norm, kept.newton_iters) == (
             cold.mu, cold.residual_norm, cold.newton_iters)
         assert np.array_equal(kept.U.coeffs, cold.U.coeffs)
-        assert np.array_equal(kept.tangent, cold.tangent)
 
     def test_singular_jacobian_reported_with_kept_factorization(self, monkeypatch):
         p = singular_spec()
         ws = _Workspace(p, 8)
         n = ws.reduced.size
-        ws.factor = (*solver.lu_factor(np.eye(n)), np.zeros(n))
+        ws.factor = solver.lu_factor(np.eye(n))
         monkeypatch.setattr(solver, "_cached_workspace", ws)
         pt = solve_at_signature(p, 0.0, n_modes=8)
         assert solver._cached_workspace is ws
