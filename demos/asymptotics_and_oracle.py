@@ -1,11 +1,11 @@
-"""The verification toolbox: stationary phase, quadrature, shooting, profile.
+"""The verification toolbox: stationary phase, quadrature, collocation, profile.
 
 Four independent ways to confirm the solver, demonstrated head to head:
   1. the stationary-phase evaluator against adaptive oscillatory quadrature
      on the Fresnel integral (remainder shrinks like 1/lambda);
   2. the per-hump stationary-phase sum reproducing the k-th curve formula;
-  3. a shooting method (RK4 + 2x2 Newton, no spectral machinery) matching
-     the spectral solver to ~1e-9 in mu;
+  3. a collocation oracle (scipy's solve_bvp, no spectral machinery)
+     matching the spectral solver to ~1e-10 in mu;
   4. the universal large-xi profile xi sin(pi x) + E(x), which depends on
      the forcing but not on the nonlinearity.
 
@@ -36,14 +36,15 @@ formula = mu_asymptotic(AsymptoticCurve(kind=HIGHER_K, k=7), 23.0)
 print(f"   2 Im(sum) = {2 * total.imag:.10f}")
 print(f"   formula   = {formula:.10f}")
 
-print("3. spectral solver vs shooting on the resonant-bounded problem")
+print("3. spectral solver vs collocation on the resonant-bounded problem")
 p = catalog("resonant-bounded")
 pt = solve_at_signature(p, 3.0, n_modes=64)
-shot = shoot(p, 3.0)
-u_spec = solution_series(pt, p.k).eval(shot.nodes)
-print(f"   mu: spectral {pt.mu:.12f} vs shooting {shot.mu:.12f}")
-print(f"   sup |u_spectral - u_shooting| = "
-      f"{np.max(np.abs(u_spec - shot.grid_solution)):.2e}")
+bvp = shoot(p, 3.0)
+u_spec = solution_series(pt, p.k).eval(bvp.nodes)
+print(f"   mu: spectral {pt.mu:.12f} vs collocation {bvp.mu:.12f} "
+      f"({bvp.newton_iters} solve_bvp iterations, status {bvp.status})")
+print(f"   sup |u_spectral - u_collocation| = "
+      f"{np.max(np.abs(u_spec - bvp.grid_solution)):.2e}")
 
 print("4. universal profile at xi = 50 (slowly growing oscillatory term)")
 nl = Nonlinearity.from_expression("pi^2*u + 2*(u^2+1)^(1/5)*sin(u)")

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SineSeries, eigenvalue, modal_linear_solve
+from .spectral import SineSeries, eigenvalue
 
 PRINCIPAL_H = "principal-h"
 HIGHER_K = "higher-k"
@@ -139,7 +139,9 @@ def universal_profile(e: SineSeries, xi: float) -> SineSeries:
     """
     if e.n_modes >= 1 and e.coeffs[0] != 0.0:
         raise ValueError("e must be orthogonal to the principal harmonic")
-    E = modal_linear_solve(e, eigenvalue(1, e.L), excluded=1)
-    out = E.coeffs.copy()
+    # E_j = e_j / (lambda_1 - lambda_j), never resonant for j >= 2
+    lam = np.array([eigenvalue(j, e.L) for j in range(1, e.n_modes + 1)])
+    out = np.empty(e.n_modes)
     out[0] = xi
+    out[1:] = e.coeffs[1:] / (lam[0] - lam[1:])
     return SineSeries(e.L, out)

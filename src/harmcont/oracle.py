@@ -1,11 +1,11 @@
 """Independent verification paths for the spectral solver.
 
-A shooting method integrates the same boundary value problem as an initial
-value problem with classical RK4 and enforces {u(L) = 0, k-th harmonic = xi}
-by a damped 2x2 Newton iteration on (u'(0), mu).  Nothing here touches the
-sine-transform machinery: the integrator is plain RK4 and the harmonic is
-extracted by trapezoid quadrature, so agreement with the spectral solver is
-meaningful evidence.
+A collocation method solves the same boundary value problem in physical
+space: scipy's solve_bvp (4th-order Lobatto IIIA collocation with residual
+control; Kierzenka & Shampine, ACM TOMS 27, 2001) on the state (u, u', w),
+where w accumulates the k-th harmonic and mu is the unknown parameter.  It
+reads only g and e.eval (a direct sine sum): no g', no sine transform and no
+solver code, so agreement with the spectral solver is meaningful evidence.
 
 Also ships an adaptive panel quadrature for oscillatory integrals
 int f e^{i lambda g}, used to validate the stationary-phase formulas.
@@ -16,152 +16,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_bvp
 
 from .problems import ProblemSpec
 
 MAX_PANELS = 200_000  # oscillatory_quadrature refuses integrands that need more
+BVP_TOL = 1e-8  # solve_bvp's residual and boundary tolerance
+BVP_START_NODES = 401  # uniform mesh of the pure-harmonic start
+BVP_MAX_NODES = 50_000  # solve_bvp stops with status 1 beyond this mesh size
 
 
 @dataclass(frozen=True)
-class ShootingResult:
-    slope: float
+class OracleResult:
     mu: float
     nodes: np.ndarray
     grid_solution: np.ndarray
-    boundary_defect: float
-    xi_defect: float
     converged: bool
+    status: int  # solve_bvp's: 0 converged, 1 max_nodes, 2 singular, 3 boundary tol missed
     newton_iters: int
 
 
-def _integrate_batch(p: ProblemSpec, slopes: np.ndarray, mus: np.ndarray,
-                     phi_half: np.ndarray, e_half: np.ndarray, n_steps: int):
-    """RK4 for u'' = -g(u) + mu phi_k + e over [0, L], batched over columns.
+def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000) -> OracleResult:
+    """Solve the boundary value problem by collocation, at prescribed harmonic.
 
-    phi_half and e_half hold phi_k and e at all nodes and half-nodes
-    (2 n_steps + 1 values).  Returns u at the n_steps + 1 nodes, one column
-    per (slope, mu) pair.
+    u'' = -g(u) + mu phi_k + e and w' = (2/L) u phi_k, with u(0) = u(L) = 0,
+    w(0) = 0 and w(L) = xi_target.  The start is the pure harmonic
+    xi phi_k with mu = -lambda_k xi.  The solution is returned sampled on
+    n_steps + 1 uniform nodes; converged only when solve_bvp reports status 0.
+    The name stays shoot because bench/tracing.py and bench/workloads.py patch it.
     """
-    h = p.L / n_steps
+    L, kw = p.L, p.k * np.pi / p.L
     g = p.nonlinearity.g
-    ncol = slopes.size
-    u = np.zeros(ncol)
-    v = slopes.astype(float).copy()
-    out = np.empty((n_steps + 1, ncol))
-    out[0] = u
-    # superlinear g can blow the IVP up in finite x for off-manifold (s, mu);
-    # bail out early and mark the remaining nodes unusable
-    with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            f0 = mus * phi_half[2 * i] + e_half[2 * i]
-            fh = mus * phi_half[2 * i + 1] + e_half[2 * i + 1]
-            f1 = mus * phi_half[2 * i + 2] + e_half[2 * i + 2]
-            k1u = v
-            k1v = -np.asarray(g(u), dtype=float) + f0
-            u2 = u + 0.5 * h * k1u
-            k2u = v + 0.5 * h * k1v
-            k2v = -np.asarray(g(u2), dtype=float) + fh
-            u3 = u + 0.5 * h * k2u
-            k3u = v + 0.5 * h * k2v
-            k3v = -np.asarray(g(u3), dtype=float) + fh
-            u4 = u + h * k3u
-            k4u = v + h * k3v
-            k4v = -np.asarray(g(u4), dtype=float) + f1
-            u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            out[i + 1] = u
-            if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e150:
-                out[i + 1:] = np.inf
-                break
-    return out
 
+    def rhs(x, y, params):
+        phi = np.sin(kw * x)
+        upp = -np.asarray(g(y[0]), dtype=float) + params[0] * phi + p.e.eval(x)
+        return np.vstack([y[1], upp, (2.0 / L) * y[0] * phi])
 
-def _harmonic(p: ProblemSpec, u_nodes: np.ndarray, phi_nodes: np.ndarray,
-              n_steps: int) -> np.ndarray:
-    """(2/L) int u phi_k dx by composite trapezoid on the RK nodes."""
-    h = p.L / n_steps
-    with np.errstate(all="ignore"):  # blown-up trajectories carry inf
-        w = u_nodes * phi_nodes[:, None]
-        return (2.0 / p.L) * h * (np.sum(w, axis=0) - 0.5 * (w[0] + w[-1]))
+    def bc(ya, yb, params):
+        return np.array([ya[0], yb[0], ya[2], yb[2] - xi_target])
 
-
-def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000,
-          s0: float | None = None, mu0: float | None = None,
-          tol: float = 1e-10, max_iter: int = 40) -> ShootingResult:
-    """Solve the boundary value problem by shooting, at prescribed harmonic.
-
-    Integrates u'' = -g(u) + mu phi_k + e from u(0) = 0, u'(0) = s and drives
-    (u(L), harmonic defect) to zero over (s, mu) by damped Newton with a
-    forward-difference Jacobian.  Warm starts (s0, mu0) default to the pure
-    harmonic shape; when several roots exist the one nearest the warm start
-    is found.
-    """
-    if p.k > 8:
-        raise ValueError("shooting supports k <= 8 (IVP too oscillatory beyond)")
-    x_half = np.linspace(0.0, p.L, 2 * n_steps + 1)
-    phi_half = np.sin(p.k * np.pi * x_half / p.L)
-    e_half = p.e.eval(x_half)
-    phi_nodes = phi_half[::2]
-
-    if s0 is None:
-        s0 = xi_target * p.k * np.pi / p.L
-    if mu0 is None:
-        # project the pure-harmonic guess: mu ~ -lambda_k xi + (2/L) int g(xi phi) phi
-        lam_k = (p.k * np.pi / p.L) ** 2
-        gh = np.asarray(p.nonlinearity.g(xi_target * phi_nodes), dtype=float) * phi_nodes
-        h = p.L / n_steps
-        mu0 = -lam_k * xi_target + (2.0 / p.L) * h * (np.sum(gh) - 0.5 * (gh[0] + gh[-1]))
-
-    z = np.array([s0, mu0], dtype=float)
-
-    def defects(cols_s, cols_mu):
-        u_nodes = _integrate_batch(p, cols_s, cols_mu, phi_half, e_half, n_steps)
-        bdry = u_nodes[-1]
-        xi = _harmonic(p, u_nodes, phi_nodes, n_steps)
-        return u_nodes, np.stack([bdry, xi - xi_target])
-
-    scale = 1.0 + abs(xi_target)
-    u_nodes, F = defects(z[:1], z[1:])
-    Fz = F[:, 0]
-    fnorm = float(np.hypot(*Fz))
-    iters = 0
-    converged = fnorm < tol * scale
-
-    while not converged and iters < max_iter:
-        if not np.isfinite(fnorm):
-            break
-        # probes stay small: superlinear problems amplify (s, mu) changes
-        # exponentially in x, and the secant Jacobian must stay local
-        ds = 1e-8 * (1.0 + abs(z[0]))
-        dm = 1e-8 * (1.0 + abs(z[1]))
-        _, Fpert = defects(np.array([z[0] + ds, z[0]]), np.array([z[1], z[1] + dm]))
-        J = np.column_stack([(Fpert[:, 0] - Fz) / ds, (Fpert[:, 1] - Fz) / dm])
-        try:
-            delta = np.linalg.solve(J, -Fz)
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        accepted = False
-        while step >= 2.0 ** -10:
-            z_try = z + step * delta
-            u_try, F_try = defects(z_try[:1], z_try[1:])
-            fn_try = float(np.hypot(*F_try[:, 0]))
-            if fn_try < fnorm:
-                z, u_nodes, Fz, fnorm = z_try, u_try, F_try[:, 0], fn_try
-                accepted = True
-                break
-            step *= 0.5
-        iters += 1
-        if not accepted:
-            break
-        converged = fnorm < tol * scale
-
-    return ShootingResult(
-        slope=float(z[0]), mu=float(z[1]), nodes=x_half[::2],
-        grid_solution=u_nodes[:, 0], boundary_defect=float(abs(Fz[0])),
-        xi_defect=float(abs(Fz[1])), converged=bool(converged),
-        newton_iters=iters,
+    x = np.linspace(0.0, L, BVP_START_NODES)
+    y = xi_target * np.vstack([np.sin(kw * x), kw * np.cos(kw * x),
+                               x / L - np.sin(2 * kw * x) / (2 * p.k * np.pi)])
+    sol = solve_bvp(rhs, bc, x, y, p=[-kw ** 2 * xi_target], tol=BVP_TOL,
+                    max_nodes=BVP_MAX_NODES)
+    nodes = np.linspace(0.0, L, n_steps + 1)
+    return OracleResult(
+        mu=float(sol.p[0]), nodes=nodes, grid_solution=sol.sol(nodes)[0],
+        converged=sol.status == 0, status=int(sol.status), newton_iters=int(sol.niter),
     )
 
 

@@ -36,7 +36,7 @@ from .spectral import (SineSeries, from_grid, l2_norm, multiplication_matrix,
 
 __all__ = [
     "SolverSettings", "SolutionPoint", "solve_at_signature",
-    "jacobian_check", "solution_series", "SINGULAR_CONDITION",
+    "solution_series", "SINGULAR_CONDITION",
 ]
 
 SINGULAR_CONDITION = 1e14
@@ -45,8 +45,6 @@ MIN_DAMPING = 2.0 ** -10  # the line search halves a Newton step down to this
 # value.  With 0.25, oscillatory-p512 took 9.2 steps per node and mu moved by
 # up to 6.6e-11 against the committed figure curves (3.0e-11 with 0.01).
 THETA = 0.01
-JACOBIAN_CHECK_DIRECTIONS = 5  # random directions jacobian_check probes
-JACOBIAN_CHECK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -253,33 +251,3 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     return SolutionPoint(xi=float(xi), mu=float(mu), U=SineSeries(p.L, U),
                          residual_norm=rnorm, newton_iters=iters,
                          converged=converged, failure=failure)
-
-
-def jacobian_check(p: ProblemSpec, xi: float, U: SineSeries) -> float:
-    """Finite-difference validation of the assembled Jacobian.
-
-    Compares J v against (R(U+hv) - R(U-hv)) / 2h for random directions v
-    orthogonal to the driven harmonic; returns the worst relative error.
-    """
-    ws = _workspace(p, U.n_modes)
-    red = ws.reduced
-    Uc = U.padded(ws.N)
-    Uc[p.k - 1] = 0.0
-    _, _, u_vals = ws.residual_mu(xi, Uc)
-    J = ws.jacobian(u_vals)
-    h = 1e-6 * (1.0 + l2_norm(Uc, p.L))
-    rng = np.random.default_rng(JACOBIAN_CHECK_SEED)
-    worst = 0.0
-    for _ in range(JACOBIAN_CHECK_DIRECTIONS):
-        v = rng.standard_normal(red.size)
-        v /= np.linalg.norm(v)
-        Up, Um = Uc.copy(), Uc.copy()
-        Up[red] += h * v
-        Um[red] -= h * v
-        Rp, _, _ = ws.residual_mu(xi, Up)
-        Rm, _, _ = ws.residual_mu(xi, Um)
-        fd = (Rp[red] - Rm[red]) / (2 * h)
-        Jv = J @ v
-        denom = max(np.linalg.norm(Jv), 1e-30)
-        worst = max(worst, float(np.linalg.norm(Jv - fd) / denom))
-    return worst

@@ -146,35 +146,6 @@ def project_out(s: SineSeries, k: int) -> tuple[float, SineSeries]:
     return xi, SineSeries(s.L, rem)
 
 
-def modal_linear_solve(rhs: SineSeries, shift: float, excluded: int) -> SineSeries:
-    """Solve w'' + shift*w = rhs with w _|_ the excluded harmonic.
-
-    Mode-wise w_j = r_j / (shift - lambda_j) for j != excluded; the excluded
-    coefficient of the right-hand side must vanish and the shift must stay
-    clear of every other eigenvalue carried by the rhs.
-    """
-    N = rhs.n_modes
-    if excluded < 1 or excluded > N:
-        raise ValueError(f"excluded harmonic {excluded} out of range for N={N}")
-    if rhs.coeffs[excluded - 1] != 0.0:
-        raise ValueError(
-            f"rhs must have zero coefficient on the excluded harmonic {excluded}"
-        )
-    lam = np.array([eigenvalue(j, rhs.L) for j in range(1, N + 1)])
-    denom = shift - lam
-    w = np.zeros(N)
-    for j in range(N):
-        if j == excluded - 1:
-            continue
-        if rhs.coeffs[j] != 0.0 and abs(denom[j]) < 1e-9 * lam[j]:
-            raise ValueError(
-                f"resonance: shift {shift} coincides with eigenvalue {lam[j]} (mode {j + 1})"
-            )
-        if rhs.coeffs[j] != 0.0:
-            w[j] = rhs.coeffs[j] / denom[j]
-    return SineSeries(rhs.L, w)
-
-
 def _angles(a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
     """pi a b/(M+1), with a b reduced mod 2(M+1) in integers before scaling."""
     return np.pi * (np.outer(a, b) % (2 * (M + 1))) / (M + 1)

@@ -180,7 +180,7 @@ def test_criterion_7_oracle_equivalence():
     dt = time.perf_counter() - t0
     ok = all(r.passed for r in rows) and dt < 60.0
     detail = "; ".join(f"{r.name}: {r.detail}" for r in rows)
-    assert report("7 (spectral vs shooting, 5 problems x 5 xi)", ok,
+    assert report("7 (spectral vs collocation, 5 problems x 5 xi)", ok,
                   f"runtime {dt:.1f}s; {detail}")
 
 

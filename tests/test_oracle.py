@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from harmcont import checks, oracle
 from harmcont.oracle import oscillatory_quadrature, shoot
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import solution_series, solve_at_signature
-from harmcont.spectral import SineSeries
+from harmcont.spectral import SineSeries, eigenvalue
 
 PI2 = np.pi ** 2
 
@@ -13,37 +14,38 @@ def zero_fn(u):
     return np.zeros_like(np.asarray(u, dtype=float))
 
 
-def linear_spec(e_pairs=(), n=8):
+def linear_spec(e_pairs=(), k=1, n=8):
     nl = Nonlinearity(g=zero_fn, g_prime=zero_fn, descriptor="0")
     e = SineSeries.from_pairs(1.0, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(1.0, n)
-    return ProblemSpec(L=1.0, k=1, e=e, nonlinearity=nl)
+    return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=nl)
 
 
 class TestShootingLinear:
     def test_pure_harmonic_closed_form(self):
         res = shoot(linear_spec(), 1.0, n_steps=2000)
-        assert res.converged
-        assert res.slope == pytest.approx(np.pi, abs=1e-9)
+        assert res.converged and res.status == 0
         assert res.mu == pytest.approx(-PI2, abs=1e-8)
         exact = np.sin(np.pi * res.nodes)
+        assert res.nodes.size == 2001
         assert np.max(np.abs(res.grid_solution - exact)) < 1e-9
 
-    def test_rk4_order_via_boundary_defect(self):
-        # with the exact (slope, mu) frozen, the defect is pure RK4 error
-        p = linear_spec(e_pairs=[(2, 1.0)])
-        s_exact = np.pi - 1 / (2 * np.pi)  # u = sin(pi x) - sin(2 pi x)/(4 pi^2)
-        defects = {}
-        for n in (100, 200):
-            res = shoot(p, 1.0, n_steps=n, s0=s_exact, mu0=-PI2, max_iter=0)
-            defects[n] = res.boundary_defect
-        ratio = defects[100] / defects[200]
-        assert 12.0 < ratio < 20.0
+    def test_k9_closed_form(self):
+        # u = xi sin(9 pi x) - sin(2 pi x) / (4 pi^2), mu = -lambda_9 xi; the
+        # forcing keeps the pure-harmonic start off the solution
+        xi = 1.5
+        res = shoot(linear_spec(e_pairs=[(2, 1.0)], k=9, n=9), xi, n_steps=2000)
+        assert res.converged
+        assert res.mu == pytest.approx(-eigenvalue(9, 1.0) * xi, abs=1e-8)
+        exact = xi * np.sin(9 * np.pi * res.nodes) - np.sin(2 * np.pi * res.nodes) / (4 * PI2)
+        assert np.max(np.abs(res.grid_solution - exact)) < 1e-9
 
-    def test_k_limit(self):
-        nl = Nonlinearity(g=zero_fn, g_prime=zero_fn, descriptor="0")
-        p = ProblemSpec(L=1.0, k=9, e=SineSeries.zero(1.0, 9), nonlinearity=nl)
-        with pytest.raises(ValueError, match="k <= 8"):
-            shoot(p, 1.0)
+    def test_reads_no_derivative(self):
+        def no_g_prime(u):
+            raise AssertionError("the oracle evaluated g'")
+        p = catalog("cubic(pi^2/2)")
+        nl = Nonlinearity(g=p.nonlinearity.g, g_prime=no_g_prime, descriptor="cubic")
+        res = shoot(ProblemSpec(L=p.L, k=p.k, e=p.e, nonlinearity=nl), 3.0)
+        assert res.converged
 
 
 class TestShootingCrossValidation:
@@ -56,13 +58,24 @@ class TestShootingCrossValidation:
         assert np.max(np.abs(u_spec - res.grid_solution)) < 1e-6
         assert abs(pt.mu - res.mu) < 1e-8
 
-    def test_root_selection_follows_warm_start(self):
-        # perturbing the warm start slightly still lands on the same root
-        p = catalog("resonant-bounded")
-        a = shoot(p, 3.0, n_steps=3000)
-        b = shoot(p, 3.0, n_steps=3000, s0=3.0 * np.pi * 1.05, mu0=a.mu + 0.01)
-        assert a.converged and b.converged
-        assert a.mu == pytest.approx(b.mu, abs=1e-9)
+    @pytest.mark.parametrize("xi", [-10.0, 10.0])
+    def test_cubic_at_edge_from_its_own_start(self, monkeypatch, xi):
+        # one oracle call, started from the pure harmonic and not from the
+        # spectral answer, checks the superlinear cubic at |xi| = 10
+        calls = []
+        shoot_fn = oracle.shoot
+
+        def counting_shoot(*args, **kwargs):
+            calls.append(kwargs)
+            return shoot_fn(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "shoot", counting_shoot)
+        name = "cubic(pi^2/2)"
+        pt, res, dmu, sup = checks.oracle_pair(catalog(name), xi,
+                                               checks.ORACLE_MODES[name])
+        assert len(calls) == 1
+        assert pt.converged and res.converged
+        assert dmu < 1e-8 and sup < 1e-6
 
 
 class TestOscillatoryQuadrature:

@@ -3,8 +3,7 @@ import pytest
 from scipy.fft import dst
 
 from harmcont.spectral import (SineSeries, eigenvalue, from_grid, l2_norm,
-                               modal_linear_solve, multiplication_matrix,
-                               project_out, to_grid)
+                               multiplication_matrix, project_out, to_grid)
 
 PI2 = np.pi ** 2
 
@@ -156,54 +155,6 @@ class TestProjectOut:
         rebuilt = rem.coeffs.copy()
         rebuilt[3] = xi
         assert np.array_equal(rebuilt, s.coeffs)
-
-
-class TestModalLinearSolve:
-    def test_single_mode(self):
-        rhs = SineSeries(1.0, [0.0, 1.0])
-        w = modal_linear_solve(rhs, PI2, excluded=1)
-        assert w.coeffs[1] == pytest.approx(-1 / (3 * PI2), rel=1e-14)
-        assert w.coeffs[0] == 0.0
-
-    def test_zero_rhs(self):
-        w = modal_linear_solve(SineSeries(1.0, np.zeros(6)), PI2, excluded=1)
-        assert np.all(w.coeffs == 0.0)
-
-    def test_two_mode_division(self):
-        # rhs = sin 3 pi x - 2 sin 4 pi x with shift lambda_7
-        rhs = SineSeries(1.0, [0, 0, 1.0, -2.0, 0, 0, 0])
-        w = modal_linear_solve(rhs, 49 * PI2, excluded=7)
-        assert w.coeffs[2] == pytest.approx(1 / (49 * PI2 - 9 * PI2), rel=1e-14)
-        assert w.coeffs[3] == pytest.approx(-2 / (49 * PI2 - 16 * PI2), rel=1e-14)
-        assert w.coeffs[6] == 0.0
-
-    def test_excluded_coefficient_always_zero(self):
-        rng = np.random.default_rng(6)
-        c = rng.standard_normal(9)
-        c[4] = 0.0
-        w = modal_linear_solve(SineSeries(1.0, c), 30.0, excluded=5)
-        assert w.coeffs[4] == 0.0
-
-    def test_resonance_detected(self):
-        rhs = SineSeries(1.0, [0.0, 1.0])
-        with pytest.raises(ValueError, match="resonance"):
-            modal_linear_solve(rhs, 4 * PI2, excluded=1)
-
-    def test_nonzero_excluded_rejected(self):
-        with pytest.raises(ValueError, match="excluded"):
-            modal_linear_solve(SineSeries(1.0, [1.0, 1.0]), 5.0, excluded=1)
-
-    def test_residual_of_solution_vanishes(self):
-        rng = np.random.default_rng(7)
-        c = rng.standard_normal(8)
-        c[0] = 0.0
-        rhs = SineSeries(2.0, c)
-        shift = 3.0
-        w = modal_linear_solve(rhs, shift, excluded=1)
-        lam = np.array([eigenvalue(j, 2.0) for j in range(1, 9)])
-        residual = -lam * w.coeffs + shift * w.coeffs - rhs.coeffs
-        residual[0] = 0.0
-        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestMultiplicationMatrix:
