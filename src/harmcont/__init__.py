@@ -17,7 +17,7 @@ from .problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
                        RunSettings, catalog, load_config, validate_conditions)
 from .solver import (SolutionPoint, SolverSettings, solution_series,
                      solve_at_signature)
-from .spectral import SineSeries, eigenvalue, from_grid, project_out, to_grid
+from .spectral import SineSeries, eigenvalue, from_grid, to_grid
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "SineSeries", "SolutionPoint", "SolverSettings", "analyze", "catalog",
     "count_solutions", "eigenvalue", "envelope", "follow_curve",
     "for_catalog", "from_grid", "load_config", "mu_asymptotic",
-    "oscillatory_quadrature", "project_out", "shoot", "solution_series",
+    "oscillatory_quadrature", "shoot", "solution_series",
     "solve_at_signature", "stationary_phase", "to_grid", "universal_profile",
     "validate_conditions", "xi_nodes",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import html
+import itertools
 import os
 import re
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import checks
 from .asymptotics import for_catalog, mu_asymptotic
-from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
+from .continuation import Curve, analyze, count_solutions, follow_curve
 from .problems import (CATALOG_NAMES, ConfigError, RunSettings, catalog,
                        check_run_settings, load_config)
 from .solver import SolverSettings
@@ -48,7 +49,7 @@ def _fmt(x: float) -> str:
 
 def write_curve_csv(path: Path, curve: Curve) -> None:
     lines = ["xi,mu,residual_norm,U_norm,newton_iters,converged"]
-    for pt in curve.all_rows():
+    for pt in curve.rows:
         lines.append(",".join([
             _fmt(pt.xi), _fmt(pt.mu), _fmt(pt.residual_norm),
             _fmt(pt.U.l2_norm()), str(pt.newton_iters),
@@ -67,7 +68,7 @@ def write_asymptote_csv(path: Path, asym_xy) -> None:
 def write_analysis_txt(path: Path, curve: Curve, mu_stars) -> None:
     lines = [f"problem: {curve.problem.nonlinearity.descriptor}",
              f"k: {curve.problem.k}",
-             f"nodes: {len(curve.points) + len(curve.gaps)} "
+             f"nodes: {len(curve.rows)} "
              f"(converged {len(curve.points)}, gaps {len(curve.gaps)})"]
     if len(curve.points) >= 3:
         an = analyze(curve)
@@ -76,9 +77,8 @@ def write_analysis_txt(path: Path, curve: Curve, mu_stars) -> None:
             lines.append(f"  {kind} at xi = {_fmt(x)}, mu = {_fmt(m)}")
         if not an.extrema:
             lines.append("  none in the sampled range")
-        if an.global_min is not None:
-            lines.append(f"global minimum: mu0 = {_fmt(an.global_min[1])} "
-                         f"at xi0 = {_fmt(an.global_min[0])}")
+        lines.append(f"global minimum: mu0 = {_fmt(an.global_min[1])} "
+                     f"at xi0 = {_fmt(an.global_min[0])}")
         lines.append("zero crossings of mu:")
         for z in an.sign_changes:
             lines.append(f"  xi = {_fmt(z)}")
@@ -180,22 +180,10 @@ def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:
     if asym_xy:
         parts.append(poly(asym_xy, 'stroke="#777777" stroke-width="1.2" '
                                    'stroke-dasharray="6,4"'))
-    # split the computed curve at gaps
-    gap_xi = sorted(pt.xi for pt in curve.gaps)
-    segment = []
-    segments = []
-    gi = 0
-    for pt in pts:
-        while gi < len(gap_xi) and gap_xi[gi] < pt.xi:
-            if segment:
-                segments.append(segment)
-                segment = []
-            gi += 1
-        segment.append((pt.xi, pt.mu))
-    if segment:
-        segments.append(segment)
-    for seg in segments:
-        if len(seg) > 1:
+    # the computed curve, split at gaps
+    for converged, run in itertools.groupby(curve.rows, key=lambda pt: pt.converged):
+        seg = [(pt.xi, pt.mu) for pt in run]
+        if converged and len(seg) > 1:
             parts.append(poly(seg, 'stroke="#1f4e9c" stroke-width="1.6"'))
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
@@ -248,27 +236,30 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     write_analysis_txt(out / "analysis.txt", curve, settings.mu_star)
     asym_xy = None
     if asym is not None:
-        nodes = xi_nodes(settings.xi_min, settings.xi_max, settings.xi_step)
-        asym_xy = [(float(x), float(mu_asymptotic(asym, float(x))))
-                   for x in nodes if x != 0.0]
+        asym_xy = [(pt.xi, float(mu_asymptotic(asym, pt.xi)))
+                   for pt in curve.rows if pt.xi != 0.0]
         write_asymptote_csv(out / "asymptote.csv", asym_xy)
     write_svg(out / "curve.svg", curve, asym_xy, title=name)
 
-    total = len(curve.points) + len(curve.gaps)
-    print(f"{name}: {len(curve.points)}/{total} nodes converged -> {out}")
-    if total and len(curve.gaps) > GAP_FRACTION_LIMIT * total:
-        print(f"{name}: {len(curve.gaps)} gaps exceed {GAP_FRACTION_LIMIT:.0%} "
+    total, gaps = len(curve.rows), len(curve.gaps)
+    print(f"{name}: {total - gaps}/{total} nodes converged -> {out}")
+    if total and gaps > GAP_FRACTION_LIMIT * total:
+        print(f"{name}: {gaps} gaps exceed {GAP_FRACTION_LIMIT:.0%} "
               "of nodes", file=sys.stderr)
         return EXIT_GAPS
     return EXIT_OK
 
 
 def _run_one_job(target: str, overrides: dict, out_dir: str | None) -> int:
-    """Process-pool entry; arguments are plain picklable values."""
+    """run_one with its exceptions mapped to exit codes.
+
+    The process-pool entry as well as the single-target path; arguments are
+    plain picklable values.  A KeyError is an unknown catalog name.
+    """
     try:
         return run_one(target, overrides, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, KeyError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
@@ -293,12 +284,7 @@ def cmd_run(args) -> int:
             codes = list(pool.map(_run_one_job, [str(c) for c in configs],
                                   [overrides] * len(configs), outs))
         return max(codes)
-    try:
-        return run_one(target, overrides, args.out)
-    except (ConfigError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
+    return _run_one_job(target, overrides, args.out)
 
 
 def cmd_verify(args) -> int:

@@ -1,19 +1,20 @@
 """March the harmonic parameter over a range and analyze the resulting curve.
 
 The k-th harmonic xi is a global graph parameter for the curve, so plain
-fixed-step marching suffices.  Each node starts from the secant predictor,
-the line through the last two converged remainders extended to the node
-(Allgower & Georg, Numerical Continuation Methods, ch. 2), unless that step
-is long; a node whose predicted start fails is retried from the plain warm
-start, then with halved sub-steps, before being recorded as a gap.  Only the
-branch reachable by warm-started marching is followed; when the g' sandwich
-fails, other branches may exist and are not searched for.  A long predictor
-step could land on one of them, which is why it is not taken.
+fixed-step marching suffices.  Each node makes one direct attempt, from the
+secant predictor, the line through the last two converged remainders
+extended to the node (Allgower & Georg, Numerical Continuation Methods,
+ch. 2), unless that step is long, and from the plain warm start otherwise;
+a node whose direct attempt fails is bridged with halved sub-steps before
+being recorded as a gap.  Only the branch reachable by warm-started
+marching is followed; when the g' sandwich fails, other branches may exist
+and are not searched for.  A long predictor step could land on one of
+them, which is why it is not taken.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +42,18 @@ def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Curve:
-    """Ordered solution points over a xi-range, plus gap annotations."""
+    """One row per marching node, in node order: converged points and gaps."""
 
     problem: ProblemSpec
-    points: list[SolutionPoint]
-    gaps: list[SolutionPoint] = field(default_factory=list)
+    rows: list[SolutionPoint]
+
+    @property
+    def points(self) -> list[SolutionPoint]:
+        return [pt for pt in self.rows if pt.converged]
+
+    @property
+    def gaps(self) -> list[SolutionPoint]:
+        return [pt for pt in self.rows if not pt.converged]
 
     def xi(self) -> np.ndarray:
         return np.array([pt.xi for pt in self.points])
@@ -53,53 +61,44 @@ class Curve:
     def mu(self) -> np.ndarray:
         return np.array([pt.mu for pt in self.points])
 
-    def all_rows(self) -> list[SolutionPoint]:
-        """Converged points and gap records merged in xi order (for output)."""
-        return sorted([*self.points, *self.gaps], key=lambda pt: pt.xi)
-
 
 def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                  settings: SolverSettings | None = None,
                  n_modes: int = 64) -> Curve:
     """Assemble the solution curve on a uniform xi grid.
 
-    Each node is first solved from the secant predictor
+    Each node gets one direct attempt.  It starts from the secant predictor
     U + (target - xi) (U - U_prev) / (xi - xi_prev) through the last two
     converged points (xi_prev, U_prev) and (xi, U), when there are two and the
-    step is at most MAX_PREDICTOR_STEP of the last point's size; if that
-    fails, or is not tried, from U itself (the zero series at the first
-    node).  A node that still fails is bridged from the last converged
-    point, with plain warm starts, through the dyadic sub-steps
-    warm_xi + (target - warm_xi) j / 2^depth: a converged sub-step is kept and
-    the march goes on from it, a failed sub-step (depth, j) is retried at
-    (depth + 1, 2j - 1).  If depth MAX_HALVINGS fails, the node is recorded as
-    a gap and marching moves on.  An entirely unsolvable range yields an empty
-    curve with diagnostics.
+    step is at most MAX_PREDICTOR_STEP of the last point's size; otherwise
+    from U itself (the zero series at the first node).  If the direct attempt
+    fails, the node is bridged from the last converged point, with plain warm
+    starts, through the dyadic sub-steps xi + (target - xi) j / 2^depth: a
+    converged sub-step is kept and the march goes on from it, a failed
+    sub-step (depth, j) is retried at (depth + 1, 2j - 1).  If depth
+    MAX_HALVINGS fails, the direct attempt is recorded as the node's gap row
+    and marching moves on.  An entirely unsolvable range yields a curve of
+    gap rows only.
     """
     settings = settings or SolverSettings()
-    nodes = xi_nodes(xi_min, xi_max, step)
-    points: list[SolutionPoint] = []
-    gaps: list[SolutionPoint] = []
+    rows: list[SolutionPoint] = []
     warm = SineSeries.zero(p.L, n_modes)
-    warm_xi = None
+    prev = last = None  # the last two converged points
 
-    for target in nodes:
-        pt = None
-        if len(points) >= 2:
-            prev = points[-2]
-            move = (target - warm_xi) / (warm_xi - prev.xi) * (warm.coeffs - prev.U.coeffs)
-            size = np.hypot(warm_xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
+    for target in xi_nodes(xi_min, xi_max, step):
+        start = warm
+        if prev is not None:
+            move = (target - last.xi) / (last.xi - prev.xi) * (warm.coeffs - prev.U.coeffs)
+            size = np.hypot(last.xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
             if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
-                pt = solve_at_signature(p, target, SineSeries(p.L, warm.coeffs + move),
-                                        settings)
-        if pt is None or not pt.converged:
-            pt = solve_at_signature(p, target, warm, settings)
-        if not pt.converged and warm_xi is not None:
+                start = SineSeries(p.L, warm.coeffs + move)
+        pt = solve_at_signature(p, target, start, settings)
+        if not pt.converged and last is not None:
             depth, j, bridge = 1, 1, warm
             while depth <= MAX_HALVINGS:
                 sub = 2 ** depth
                 # last sub-step lands on the node exactly, not within an ulp
-                xi_j = target if j == sub else warm_xi + (target - warm_xi) * j / sub
+                xi_j = target if j == sub else last.xi + (target - last.xi) * j / sub
                 bp = solve_at_signature(p, xi_j, bridge, settings)
                 if not bp.converged:
                     depth, j = depth + 1, 2 * j - 1
@@ -108,19 +107,37 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                     break
                 else:
                     bridge, j = bp.U, j + 1
+        rows.append(pt)
         if pt.converged:
-            points.append(pt)
-            warm, warm_xi = pt.U, pt.xi
-        else:
-            gaps.append(pt)
-    return Curve(problem=p, points=points, gaps=gaps)
+            prev, last, warm = last, pt, pt.U
+    return Curve(problem=p, rows=rows)
 
 
 @dataclass(frozen=True)
 class CurveAnalysis:
     extrema: list[tuple[float, float, str]]
-    global_min: tuple[float, float] | None
+    global_min: tuple[float, float]
     sign_changes: list[float]
+
+
+def _crossings(xi: np.ndarray, v: np.ndarray) -> list[float]:
+    """Where the sampled v(xi) meets zero, in sample order.
+
+    A sign change between two nonzero samples is placed by linear
+    interpolation; the signs are compared, not multiplied, so values near
+    the underflow threshold still count.  A run of exact zeros counts once,
+    at its first node, whether the sign changes across it or not.
+    """
+    s = np.sign(v)
+    out = []
+    for i in range(len(v)):
+        if s[i] == 0:
+            if i == 0 or s[i - 1] != 0:
+                out.append(float(xi[i]))
+        elif i > 0 and s[i - 1] == -s[i]:
+            t = v[i - 1] / (v[i - 1] - v[i])
+            out.append(float(xi[i - 1] + t * (xi[i] - xi[i - 1])))
+    return out
 
 
 def _parabolic_vertex(x, y):
@@ -174,19 +191,9 @@ def analyze(c: Curve) -> CurveAnalysis:
         gx, gy = xi[idx], mu[idx]
     global_min = (float(gx), float(gy))
 
-    sign_changes = []
-    for i in range(len(mu) - 1):
-        if mu[i] == 0.0:
-            if i == 0 or mu[i - 1] != 0.0:
-                sign_changes.append(float(xi[i]))
-        elif mu[i] * mu[i + 1] < 0:
-            t = mu[i] / (mu[i] - mu[i + 1])
-            sign_changes.append(float(xi[i] + t * (xi[i + 1] - xi[i])))
-    if len(mu) and mu[-1] == 0.0 and (len(mu) == 1 or mu[-2] != 0.0):
-        sign_changes.append(float(xi[-1]))
-
+    # interpolation at denormal scale can put a crossing out of sample order
     return CurveAnalysis(extrema=extrema, global_min=global_min,
-                         sign_changes=sorted(sign_changes))
+                         sign_changes=sorted(_crossings(xi, mu)))
 
 
 def count_solutions(c: Curve, mu_star: float) -> int:
@@ -197,20 +204,4 @@ def count_solutions(c: Curve, mu_star: float) -> int:
     """
     if len(c.points) < 3:
         raise ValueError("counting needs at least 3 converged points")
-    v = c.mu() - mu_star
-    count = 0
-    prev = 0.0  # sign of the last nonzero sample, 0 before any
-    prev_was_zero = False
-    for value in v:
-        if value == 0.0:
-            if not prev_was_zero:
-                count += 1
-            prev_was_zero = True
-            prev = 0.0
-            continue
-        s = 1.0 if value > 0 else -1.0
-        if prev != 0.0 and s != prev:
-            count += 1
-        prev = s
-        prev_was_zero = False
-    return count
+    return len(_crossings(c.xi(), c.mu() - mu_star))

@@ -136,16 +136,6 @@ def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
     return (2.0 / (M + 1)) * (values @ _sine_matrix(M, n_modes))
 
 
-def project_out(s: SineSeries, k: int) -> tuple[float, SineSeries]:
-    """Split s into (k-th harmonic, remainder orthogonal to sin(k pi x/L))."""
-    if k < 1 or k > s.n_modes:
-        raise ValueError(f"harmonic {k} out of range for a {s.n_modes}-mode series")
-    xi = float(s.coeffs[k - 1])
-    rem = s.coeffs.copy()
-    rem[k - 1] = 0.0
-    return xi, SineSeries(s.L, rem)
-
-
 def _angles(a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
     """pi a b/(M+1), with a b reduced mod 2(M+1) in integers before scaling."""
     return np.pi * (np.outer(a, b) % (2 * (M + 1))) / (M + 1)

@@ -163,6 +163,13 @@ class TestRunConfig:
         assert code == EXIT_OK
         assert (out / "one" / "curve.csv").exists()
         assert (out / "two" / "curve.csv").exists()
+        # one bad config sets the batch's exit code; the good ones still run
+        (cfgdir / "two.cfg").write_text("[problem]\nk = 1\ng = u\ne = 1:0.4\n")
+        out = tmp_path / "batch-bad"
+        code = run_cli("run", str(cfgdir), "--jobs", "2", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert (out / "one" / "curve.csv").exists()
+        assert not (out / "two").exists()
 
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "none"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from harmcont import continuation, solver
-from harmcont.continuation import analyze, count_solutions, follow_curve, xi_nodes
+from harmcont.continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
-from harmcont.solver import SolverSettings
+from harmcont.solver import SolutionPoint, SolverSettings
 from harmcont.spectral import SineSeries
 
 PI2 = np.pi ** 2
@@ -79,7 +79,8 @@ class TestGaps:
 
     def test_all_rows_ordered(self):
         c = follow_curve(linear_spec(), 0.0, 1.0, 0.5, n_modes=8)
-        assert [pt.xi for pt in c.all_rows()] == [0.0, 0.5, 1.0]
+        assert [pt.xi for pt in c.rows] == [0.0, 0.5, 1.0]
+        assert c.points == c.rows and c.gaps == []
 
 
 class TestCounting:
@@ -103,6 +104,27 @@ class TestCounting:
             count_solutions(c, 0.0)
         with pytest.raises(ValueError):
             analyze(c)
+
+
+def synthetic_curve(mu):
+    """A curve of converged points at xi = 0, 1, 2, ... with the given mu."""
+    U = SineSeries.zero(1.0, 2)
+    return Curve(problem=linear_spec(), rows=[
+        SolutionPoint(xi=float(x), mu=m, U=U, residual_norm=0.0, newton_iters=0,
+                      converged=True) for x, m in enumerate(mu)])
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("mu, crossings", [
+        # each product mu_i mu_{i+1} underflows to -0.0; the signs still change
+        ([1e-200, -1e-200, 1e-200], [0.5, 1.5]),
+        # a run of exact zeros counts once, at its first node
+        ([1.0, 0.0, 0.0, -1.0, 0.0, 1.0], [1.0, 4.0]),
+    ], ids=["underflow", "zero-run"])
+    def test_sign_changes_agree_with_count(self, mu, crossings):
+        c = synthetic_curve(mu)
+        assert analyze(c).sign_changes == crossings
+        assert count_solutions(c, 0.0) == len(crossings)
 
 
 class TestCubicShapes:
@@ -179,7 +201,7 @@ class TestKeptFactorization:
         nl = Nonlinearity.from_expression(f"4*pi^2*u + {A}*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
                         nonlinearity=nl)
-        kept = follow_curve(p, -10.0, 10.0, 0.1).all_rows()
+        kept = follow_curve(p, -10.0, 10.0, 0.1).rows
         solve = continuation.solve_at_signature
 
         def fresh_solve(*args):
@@ -187,7 +209,7 @@ class TestKeptFactorization:
             return solve(*args)
 
         monkeypatch.setattr(continuation, "solve_at_signature", fresh_solve)
-        fresh = follow_curve(p, -10.0, 10.0, 0.1).all_rows()
+        fresh = follow_curve(p, -10.0, 10.0, 0.1).rows
         assert [(pt.xi, pt.converged) for pt in kept] == [(pt.xi, pt.converged)
                                                          for pt in fresh]
         assert any(not pt.converged for pt in kept)
@@ -195,51 +217,53 @@ class TestKeptFactorization:
 
 
 class TestPredictor:
-    def test_failed_prediction_retried_from_warm_start_before_bridge(self, monkeypatch):
+    def test_failed_prediction_goes_to_bridge_from_warm_start(self, monkeypatch):
         # every node of this smooth stretch from the third on is predicted; the
         # wrapper reports the predicted attempt at fail_once as failed, and
-        # both direct attempts at fail_twice, so the bridge runs there
+        # every attempt at fail_always, so that node becomes a gap
         p = catalog("oscillatory-p512")
         nodes = xi_nodes(5.0, 6.0, 0.1)
-        fail_once, fail_twice = nodes[3], nodes[7]
+        fail_once, fail_always = nodes[3], nodes[7]
         calls = []  # (xi, start coefficients, returned point), in call order
         solve = continuation.solve_at_signature
 
         def failing_solve(p, xi, U0, settings):
             pt = solve(p, xi, U0, settings)
-            tries = sum(c[0] == xi for c in calls)
-            if (xi == fail_once and tries == 0) or (xi == fail_twice and tries < 2):
+            if (xi == fail_once and not any(c[0] == xi for c in calls)) or xi == fail_always:
                 pt = dataclasses.replace(pt, converged=False, failure="max_iter")
             calls.append((float(xi), U0.coeffs.copy(), pt))
             return pt
 
         monkeypatch.setattr(continuation, "solve_at_signature", failing_solve)
         c = follow_curve(p, 5.0, 6.0, 0.1, n_modes=64)
-        assert not c.gaps and len(c.points) == len(nodes)
+        assert [pt.xi for pt in c.rows] == list(nodes)
+        assert [pt.xi for pt in c.gaps] == [fail_always]
+        # the direct attempt, then the bridge's landing on the node; at
+        # fail_always one landing per halving depth
         assert [x for x, _, _ in calls].count(fail_once) == 2
-        assert [x for x, _, _ in calls].count(fail_twice) == 3
+        assert [x for x, _, _ in calls].count(fail_always) == 1 + continuation.MAX_HALVINGS
         # one converged point is no secant: the second node starts from the first
         assert [x for x, _, _ in calls[:3]] == list(nodes[:3])
         assert np.array_equal(calls[1][1], c.points[0].U.coeffs)
 
         for i in (3, 7):
-            prev2, prev, xi = c.points[i - 2], c.points[i - 1], nodes[i]
+            prev2, prev, xi = c.rows[i - 2], c.rows[i - 1], nodes[i]
             j = next(n for n, call in enumerate(calls) if call[0] == xi)
-            # the secant attempt, then the same node from the plain warm start
             secant = prev.U.coeffs + (xi - prev.xi) / (prev.xi - prev2.xi) * (
                 prev.U.coeffs - prev2.U.coeffs)
             assert np.array_equal(calls[j][1], secant)
-            assert calls[j + 1][0] == xi
-            assert np.array_equal(calls[j + 1][1], prev.U.coeffs)
-            if i == 3:  # the retry converged: on to the next node
-                assert calls[j + 2][0] == nodes[4]
-                assert c.points[3] is calls[j + 1][2]
-            else:  # only then the bridge: half step from the warm start, then the node
-                half = calls[j + 2]
-                assert half[0] == prev.xi + (xi - prev.xi) / 2
-                assert np.array_equal(half[1], prev.U.coeffs)
-                assert calls[j + 3][0] == xi
-                assert np.array_equal(calls[j + 3][1], half[2].U.coeffs)
+            # no second direct attempt: the bridge's half step from the plain
+            # warm start comes next
+            half = calls[j + 1]
+            assert half[0] == prev.xi + (xi - prev.xi) / 2
+            assert np.array_equal(half[1], prev.U.coeffs)
+            assert half[2].converged
+            assert calls[j + 2][0] == xi
+            assert np.array_equal(calls[j + 2][1], half[2].U.coeffs)
+            if i == 3:  # the bridge reached the node
+                assert c.rows[3] is calls[j + 2][2]
+            else:  # the gap row is the direct attempt
+                assert c.rows[7] is calls[j][2]
 
     def test_fewer_newton_iterations_than_plain_warm_starts(self, monkeypatch):
         p = catalog("oscillatory-p512")

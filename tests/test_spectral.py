@@ -4,7 +4,7 @@ from scipy.fft import dst
 
 from harmcont.asymptotics import universal_profile
 from harmcont.spectral import (SineSeries, eigenvalue, from_grid, l2_norm,
-                               multiplication_matrix, project_out, to_grid)
+                               multiplication_matrix, to_grid)
 
 PI2 = np.pi ** 2
 
@@ -123,39 +123,6 @@ class TestGridTransforms:
                      for j, c in enumerate(s.coeffs))
         assert np.allclose(s.eval(x), direct, atol=1e-15)
         assert s.eval(np.array([0.0, 1.5])) == pytest.approx([0.0, 0.0], abs=1e-13)
-
-
-class TestProjectOut:
-    def test_coefficient_extraction(self):
-        s = SineSeries(1.0, [3.0, 1.0])
-        xi, rem = project_out(s, 1)
-        assert xi == 3.0
-        assert np.array_equal(rem.coeffs, [0.0, 1.0])
-
-    def test_pure_harmonic(self):
-        for k in (1, 2, 5):
-            s = SineSeries(1.0, np.eye(6)[k - 1])
-            xi, rem = project_out(s, k)
-            assert xi == 1.0
-            assert np.all(rem.coeffs == 0.0)
-
-    def test_orthogonal_forcing_untouched(self):
-        e = SineSeries(1.0, [0.0, 0.2])
-        xi, rem = project_out(e, 1)
-        assert xi == 0.0
-        assert np.array_equal(rem.coeffs, e.coeffs)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            project_out(SineSeries(1.0, [1.0, 2.0]), 3)
-
-    def test_reinsert_reconstructs(self):
-        rng = np.random.default_rng(5)
-        s = SineSeries(1.0, rng.standard_normal(12))
-        xi, rem = project_out(s, 4)
-        rebuilt = rem.coeffs.copy()
-        rebuilt[3] = xi
-        assert np.array_equal(rebuilt, s.coeffs)
 
 
 class TestModalLinearSolve:
