@@ -196,7 +196,8 @@ def invariants_suite() -> list[CheckRow]:
         p = problems.catalog(name)
         worst = max(worst, problems.check_derivative(p.nonlinearity))
     rows.append(_row("invariants", "catalog g' matches finite differences",
-                     worst < 1e-5, f"worst relative error = {worst:.2e}"))
+                     worst < problems.DERIVATIVE_RTOL,
+                     f"worst relative error = {worst:.2e}"))
 
     # warm-start consistency: half stepping reproduces mu at shared nodes
     p = problems.catalog("oscillatory-p512")

@@ -19,6 +19,7 @@ import itertools
 import os
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -276,6 +277,12 @@ def cmd_run(args) -> int:
         if not configs:
             print(f"error: no config files (*.cfg, *.ini, *.conf) in {path}",
                   file=sys.stderr)
+            return EXIT_CONFIG
+        stems = Counter(c.stem for c in configs)
+        clashes = [c.name for c in configs if stems[c.stem] > 1]
+        if clashes:
+            print(f"error: config files would share an output directory: "
+                  f"{', '.join(clashes)}", file=sys.stderr)
             return EXIT_CONFIG
         root = Path(args.out) if args.out else _out_root()
         outs = [str(root / c.stem) for c in configs]

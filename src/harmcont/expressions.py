@@ -6,19 +6,21 @@ abs.  Expressions are parsed to a small tuple tree, at most MAX_DEPTH levels
 deep, and evaluated on numpy arrays or scalars with numpy semantics (1/0 is
 inf, not an exception).
 
-g' comes from the same tree by the complex step g'(u) = Im g(u + ih) / h
-(Squire & Trapp, SIAM Rev. 40, 1998): no difference is taken, so with
-h = 1e-30 it is exact to roundoff wherever g is real-analytic.  abs is
-continued analytically as -z or z by the sign of Re z.  Where g has no real
-derivative the complex step still returns a finite number: 1 for abs(u) at
-0, about 7e14 for u^0.5 at 0, and some value for u^u at 0 and at negative
-integers.
+complex_step(g, u) = Im g(u + ih) / h is the one rule for g' (Squire &
+Trapp, SIAM Rev. 40, 1998), for compiled expressions and catalog entries
+alike: no difference is taken, so with h = 1e-30 it is exact to roundoff
+wherever g is real-analytic and evaluates complex input without casting it
+to float.  abs is continued analytically as -z or z by the sign of Re z.
+Where g has no real derivative the complex step still returns a finite
+number: 1 for abs(u) at 0, about 7e14 for u^0.5 at 0, and some value for
+u^u at 0 and at negative integers.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 
@@ -205,6 +207,11 @@ def evaluate(tree, u):
     raise ExpressionError(f"corrupt tree node {op!r}")
 
 
+def complex_step(g, u):
+    """g'(u) = Im g(u + i STEP) / STEP, for a g that takes complex input."""
+    return np.imag(g(u + 1j * STEP)) / STEP
+
+
 def compile_expression(text: str):
     """Return (g, g_prime) callables for an expression in u; g' by complex step."""
     tree = parse(text)
@@ -212,7 +219,4 @@ def compile_expression(text: str):
     def g(u, _tree=tree):
         return evaluate(_tree, u)
 
-    def g_prime(u, _tree=tree):
-        return np.imag(evaluate(_tree, u + 1j * STEP)) / STEP
-
-    return g, g_prime
+    return g, partial(complex_step, g)

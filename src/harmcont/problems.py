@@ -2,7 +2,8 @@
 
 A problem is u'' + g(u) = mu_k sin(k pi x/L) + e(x) on (0, L) with Dirichlet
 ends, where e is orthogonal to the driven harmonic.  mu_k is a solver output,
-never a field.
+never a field.  Catalog entries and config expressions alike take g' as
+expressions.complex_step of their g.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class ProblemSpec:
             raise ValueError("forcing series length does not match the problem interval")
         if self.k <= self.e.n_modes and self.e.coeffs[self.k - 1] != 0.0:
             raise ValueError(
-                f"e must be orthogonal to the driven harmonic: coefficient {self.k} "
-                f"is {self.e.coeffs[self.k - 1]!r}, not 0"
+                f"e must be orthogonal to the driven harmonic sin({self.k} pi x/L): "
+                f"coefficient {self.k} is {self.e.coeffs[self.k - 1]!r}, not 0 "
+                f"(that amplitude is mu_{self.k}, an output)"
             )
 
 
@@ -90,60 +92,33 @@ def check_derivative(nl: Nonlinearity) -> float:
 
 
 # --- catalog nonlinearities (module-level so problem specs stay picklable) ---
+# Each takes complex u as well, since g' is its complex step: np.asarray(u,
+# dtype=float) would drop the imaginary part and make g' = 0.
 
 def _g_amann_hess(u):
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     return np.cos(u) + u * (_PI2 + (2 / np.pi) * np.arctan(u)
                             + 0.9 * np.sin(np.log(u * u + 1)))
 
 
-def _gp_amann_hess(u):
-    u = np.asarray(u, dtype=float)
-    a = _PI2 + (2 / np.pi) * np.arctan(u) + 0.9 * np.sin(np.log(u * u + 1))
-    da = (2 / np.pi) / (1 + u * u) + 0.9 * np.cos(np.log(u * u + 1)) * 2 * u / (u * u + 1)
-    return -np.sin(u) + a + u * da
-
-
 def _g_oscillatory(u):
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     return _PI2 * u + 5.0 * (u * u + 1) ** (5 / 12) * np.sin(u)
 
 
-def _gp_oscillatory(u):
-    u = np.asarray(u, dtype=float)
-    q = u * u + 1
-    return (_PI2 + (25 / 6) * u * q ** (-7 / 12) * np.sin(u)
-            + 5.0 * q ** (5 / 12) * np.cos(u))
-
-
 def _g_resonance_k7(u):
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     return 49 * _PI2 * u + np.sin(u)
 
 
-def _gp_resonance_k7(u):
-    return 49 * _PI2 + np.cos(np.asarray(u, dtype=float))
-
-
 def _g_cubic(u, lam):
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     return lam * u - u ** 3
 
 
-def _gp_cubic(u, lam):
-    u = np.asarray(u, dtype=float)
-    return lam - 3 * u * u
-
-
 def _g_resonant_bounded(u):
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     return _PI2 * u + u / (1 + u * u)
-
-
-def _gp_resonant_bounded(u):
-    u = np.asarray(u, dtype=float)
-    q = 1 + u * u
-    return _PI2 + (1 - u * u) / (q * q)
 
 
 CATALOG_NAMES = (
@@ -184,59 +159,43 @@ def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
     Names: amann-hess-type, oscillatory-p512, resonance-k7, cubic(lambda),
     resonant-bounded.  The cubic accepts a finite constant expression for
     lambda, e.g. "cubic(pi^2/2)" (ConfigError for one in u, one that does not
-    parse or one that is not finite); plain "cubic" uses lambda = pi^2/2.  For
-    the cubic the forcing e may be overridden (default 0.3 sin 2 pi x).  An
-    unknown name raises KeyError.
+    parse or one that is not finite); plain "cubic" uses lambda = pi^2/2.
+    Every entry's forcing may be overridden by e; ProblemSpec rejects one
+    with a coefficient on the driven harmonic.  g' is the complex step of g.
+    An unknown name raises KeyError.
     """
+    # the _g_* are looked up here, at call time, so a wrapped module
+    # attribute is what the problem gets
     name = name.strip()
     m = _CUBIC_RE.fullmatch(name)
     if m:
         arg = m.group("arg")
         lam = DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == "" else _cubic_lambda(arg)
-        nl = Nonlinearity(
-            g=partial(_g_cubic, lam=lam),
-            g_prime=partial(_gp_cubic, lam=lam),
-            descriptor=f"{lam!r}*u - u^3",
-        )
-        if e is None:
-            e = SineSeries.from_pairs(1.0, [(2, 0.3)])
-        spec = ProblemSpec(L=1.0, k=1, e=e, nonlinearity=nl)
+        g, descriptor, k, pairs = (partial(_g_cubic, lam=lam), f"{lam!r}*u - u^3",
+                                   1, [(2, 0.3)])
     elif name == "amann-hess-type":
-        nl = Nonlinearity(
-            g=_g_amann_hess, g_prime=_gp_amann_hess,
-            descriptor="cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
-        )
-        spec = ProblemSpec(L=1.0, k=1,
-                           e=SineSeries.from_pairs(1.0, [(2, 1.0), (5, -2.0)]),
-                           nonlinearity=nl)
+        g, descriptor, k, pairs = (
+            _g_amann_hess, "cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
+            1, [(2, 1.0), (5, -2.0)])
     elif name == "oscillatory-p512":
-        nl = Nonlinearity(
-            g=_g_oscillatory, g_prime=_gp_oscillatory,
-            descriptor="pi^2*u + 5*(u^2+1)^(5/12)*sin(u)",
-        )
-        spec = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.2)]),
-                           nonlinearity=nl)
+        g, descriptor, k, pairs = (_g_oscillatory, "pi^2*u + 5*(u^2+1)^(5/12)*sin(u)",
+                                   1, [(2, 0.2)])
     elif name == "resonance-k7":
-        nl = Nonlinearity(
-            g=_g_resonance_k7, g_prime=_gp_resonance_k7,
-            descriptor="49*pi^2*u + sin(u)",
-        )
-        spec = ProblemSpec(L=1.0, k=7,
-                           e=SineSeries.from_pairs(1.0, [(3, 1.0), (4, -2.0)], n_modes=7),
-                           nonlinearity=nl)
+        g, descriptor, k, pairs = (_g_resonance_k7, "49*pi^2*u + sin(u)",
+                                   7, [(3, 1.0), (4, -2.0)])
     elif name == "resonant-bounded":
-        nl = Nonlinearity(
-            g=_g_resonant_bounded, g_prime=_gp_resonant_bounded,
-            descriptor="pi^2*u + u/(1+u^2)",
-        )
-        spec = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.2)]),
-                           nonlinearity=nl)
+        g, descriptor, k, pairs = (_g_resonant_bounded, "pi^2*u + u/(1+u^2)",
+                                   1, [(2, 0.2)])
     else:
         raise KeyError(
             f"unknown catalog problem {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
-    check_derivative(spec.nonlinearity)
-    return spec
+    nl = Nonlinearity(g=g, g_prime=partial(expressions.complex_step, g),
+                      descriptor=descriptor)
+    if e is None:
+        e = SineSeries.from_pairs(1.0, pairs, n_modes=k)
+    check_derivative(nl)
+    return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=nl)
 
 
 @dataclass(frozen=True)
@@ -343,8 +302,9 @@ def _parse_pairs(text: str) -> list[tuple[int, float]]:
 def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     """Load a problem + run description from an INI-style config file.
 
-    Required: [problem] with keys k and g; optional L (default 1.0) and e,
-    a comma- or whitespace-separated list of mode:coefficient pairs.  g(0)
+    Required: [problem] with key g; optional k (default 1), L (default 1.0)
+    and e, a comma- or whitespace-separated list of mode:coefficient pairs
+    with none on mode k.  L must be positive and finite.  g(0)
     must be finite, since u vanishes at both ends.  The optional [run]
     section carries xi_min, xi_max, xi_step, modes, newton_tol, max_iter,
     mu_star (comma-separated list).
@@ -361,36 +321,23 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     if not cp.has_section("problem"):
         raise ConfigError(f"{path}: missing [problem] section")
     prob = cp["problem"]
+    if prob.get("g") is None:
+        raise ConfigError(f"{path}: [problem] needs g = <expression in u>")
     try:
-        L = float(prob.get("L", "1.0"))
-        k = int(prob.get("k", "1"))
-        gtext = prob.get("g")
-        if gtext is None:
-            raise ConfigError(f"{path}: [problem] needs g = <expression in u>")
-        pairs = _parse_pairs(prob.get("e", ""))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad [problem] value: {exc}") from exc
-
-    for mode, coeff in pairs:
-        if mode == k and coeff != 0.0:
-            raise ConfigError(
-                f"{path}: e has a nonzero coefficient {coeff} on mode {k}, but the "
-                f"forcing must be orthogonal to the driven harmonic sin({k} pi x/L); "
-                f"set the mode-{k} coefficient to zero (it is carried by mu_{k})"
-            )
-    try:
-        nl = Nonlinearity.from_expression(gtext)
-    except (expressions.ExpressionError, ValueError) as exc:
+        nl = Nonlinearity.from_expression(prob.get("g"))
+    except ValueError as exc:  # ExpressionError is one
         raise ConfigError(f"{path}: bad expression for g: {exc}") from exc
     with np.errstate(all="ignore"):
         g0 = float(nl.g(0.0))
     if not np.isfinite(g0):
         raise ConfigError(f"{path}: g(0) = {g0} is not finite, but u vanishes at "
                           f"both ends, so g must be finite at 0")
-    e = SineSeries.from_pairs(L, pairs, n_modes=k)
-    spec = ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
+    try:  # SineSeries and ProblemSpec check L, k and the forcing modes
+        L, k = float(prob.get("L", "1.0")), int(prob.get("k", "1"))
+        e = SineSeries.from_pairs(L, _parse_pairs(prob.get("e", "")), n_modes=k)
+        spec = ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad [problem] value: {exc}") from exc
 
     kwargs = {}
     if cp.has_section("run"):

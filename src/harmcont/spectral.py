@@ -41,8 +41,8 @@ class SineSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"interval length must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"interval length must be positive and finite, got {self.L}")
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coefficients must be a non-empty 1-D array")

@@ -233,6 +233,27 @@ class TestExitCodes:
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", [
+        "k = 0", "k = -2", "L = -1", "L = 0", "L = nan", "L = inf", "e = 0:1.0",
+    ], ids=["k-zero", "k-negative", "L-negative", "L-zero", "L-nan", "L-inf",
+            "e-mode-zero"])
+    def test_bad_problem_values(self, tmp_path, problem):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(f"[problem]\ng = u\n{problem}\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_clashing_stems_rejected(self, tmp_path, capsys):
+        cfgdir = tmp_path / "cfgs"
+        cfgdir.mkdir()
+        for name in ("a.cfg", "a.ini", "b.cfg"):
+            (cfgdir / name).write_text("[problem]\ng = u\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfgdir), *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert "a.cfg, a.ini" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["cubic(u+1)", "cubic(1/0)", "cubic(0/0)",
                                         "cubic(foo)"],
                              ids=["in-u", "infinite", "nan", "unknown-name"])

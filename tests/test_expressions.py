@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from harmcont import problems
-from harmcont.expressions import (MAX_DEPTH, ExpressionError,
-                                  compile_expression, evaluate, parse)
+from harmcont.expressions import (MAX_DEPTH, ExpressionError, compile_expression,
+                                  complex_step, evaluate, parse)
 
 
 def test_numbers_and_constants():
@@ -83,15 +83,46 @@ def test_derivative_abs():
     assert np.array_equal(g(u), np.abs(u))
 
 
+def _closed_form_derivative(name, u):
+    """g' of each catalog entry by hand, the reference for the complex step."""
+    pi2 = np.pi ** 2
+    if name == "amann-hess-type":
+        q = u * u + 1
+        a = pi2 + (2 / np.pi) * np.arctan(u) + 0.9 * np.sin(np.log(q))
+        da = (2 / np.pi) / q + 0.9 * np.cos(np.log(q)) * 2 * u / q
+        return -np.sin(u) + a + u * da
+    if name == "oscillatory-p512":
+        q = u * u + 1
+        return (pi2 + (25 / 6) * u * q ** (-7 / 12) * np.sin(u)
+                + 5.0 * q ** (5 / 12) * np.cos(u))
+    if name == "resonance-k7":
+        return 49 * pi2 + np.cos(u)
+    if name == "cubic":
+        return problems.DEFAULT_CUBIC_LAMBDA - 3 * u * u
+    q = 1 + u * u  # resonant-bounded
+    return pi2 + (1 - u * u) / (q * q)
+
+
 @pytest.mark.parametrize("name", problems.CATALOG_NAMES)
 def test_derivative_matches_catalog(name):
-    # the catalog's hand-written g' of the same descriptor, relative to
-    # max(|g'|, 1) as in problems.check_derivative
+    # the compiled descriptor gives the catalog's g, and both g' (complex
+    # steps of the two g) match the closed form, relative to max(|g'|, 1)
+    # as in problems.check_derivative
     nl = problems.catalog(name).nonlinearity
-    _, gp = compile_expression(nl.descriptor)
+    g, gp = compile_expression(nl.descriptor)
     u = np.random.default_rng(3).uniform(-50, 50, 500)
-    ref = nl.g_prime(u)
-    assert np.max(np.abs(gp(u) - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
+    assert np.max(np.abs(g(u) - nl.g(u)) / np.maximum(np.abs(nl.g(u)), 1.0)) < 1e-14
+    ref = _closed_form_derivative(name, u)
+    for deriv in (gp, nl.g_prime):
+        assert np.max(np.abs(deriv(u) - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("name", problems.CATALOG_NAMES)
+def test_catalog_derivative_is_complex_step(name):
+    nl = problems.catalog(name).nonlinearity
+    u = np.random.default_rng(4).uniform(-50, 50, 200)
+    assert np.array_equal(nl.g_prime(u), complex_step(nl.g, u))
+    assert nl.g_prime(0.7) == complex_step(nl.g, 0.7)
 
 
 @pytest.mark.parametrize("text", ["1/u", "u^-1", "pi^2*u + 0.1/(u^2)"])

@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from harmcont.problems import (CATALOG_NAMES, ConfigError, Nonlinearity,
-                               ProblemSpec, catalog, check_derivative,
-                               load_config, validate_conditions)
+from harmcont.problems import (CATALOG_NAMES, DERIVATIVE_RTOL, ConfigError,
+                               Nonlinearity, ProblemSpec, catalog,
+                               check_derivative, load_config, validate_conditions)
 from harmcont.spectral import SineSeries
 
 PI2 = np.pi ** 2
@@ -32,10 +34,6 @@ class TestCatalog:
     def test_cubic_default_lambda(self):
         assert catalog("cubic").nonlinearity.g_prime(0.0) == pytest.approx(PI2 / 2)
 
-    def test_cubic_forcing_override(self):
-        p = catalog("cubic(1)", e=SineSeries.from_pairs(1.0, [(3, 0.7)]))
-        assert p.e.coeffs[2] == 0.7
-
     def test_amann_hess_forcing(self):
         e = catalog("amann-hess-type").e
         assert e.coeffs[1] == 1.0 and e.coeffs[4] == -2.0
@@ -53,7 +51,25 @@ class TestCatalog:
     def test_derivative_consistency(self, name):
         # centered differences at 100 random points in [-50, 50]
         err = check_derivative(catalog(name).nonlinearity)
-        assert err < 1e-5
+        assert err < DERIVATIVE_RTOL
+
+    @pytest.mark.parametrize("name", ALL_ENTRIES)
+    def test_pickle_round_trip(self, name):
+        p = catalog(name)
+        q = pickle.loads(pickle.dumps(p))
+        assert (q.L, q.k, q.nonlinearity.descriptor) == (p.L, p.k, p.nonlinearity.descriptor)
+        assert np.array_equal(q.e.coeffs, p.e.coeffs)
+        u = np.linspace(-5, 5, 11)
+        assert np.array_equal(q.nonlinearity.g(u), p.nonlinearity.g(u))
+        assert np.array_equal(q.nonlinearity.g_prime(u), p.nonlinearity.g_prime(u))
+
+    @pytest.mark.parametrize("name", ALL_ENTRIES)
+    def test_forcing_override_every_entry(self, name):
+        e = SineSeries.from_pairs(1.0, [(3, 0.7)], n_modes=8)
+        p = catalog(name, e=e)
+        assert p.e is e
+        with pytest.raises(ValueError, match="orthogonal"):
+            catalog(name, e=SineSeries.from_pairs(1.0, [(p.k, 0.1)]))
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown catalog"):
