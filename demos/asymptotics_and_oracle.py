@@ -14,11 +14,10 @@ Run:  python demos/asymptotics_and_oracle.py
 
 import numpy as np
 
-from harmcont import (Nonlinearity, ProblemSpec, SineSeries, catalog,
-                      mu_asymptotic, oscillatory_quadrature, shoot,
+from harmcont import (AsymptoticCurve, Nonlinearity, ProblemSpec, SineSeries,
+                      catalog, mu_asymptotic, oscillatory_quadrature, shoot,
                       solution_series, solve_at_signature, stationary_phase,
                       universal_profile)
-from harmcont.asymptotics import HIGHER_K, AsymptoticCurve
 
 print("1. Fresnel integral  int_-1^1 e^{i lam x^2} dx")
 one = lambda x: 1.0
@@ -32,7 +31,7 @@ for lam in (100.0, 200.0, 400.0):
 print("2. per-hump sum vs the k-th curve formula (k = 7, xi = 23)")
 g = lambda x: np.sin(7 * np.pi * x)
 total = sum(stationary_phase(g, g, 23.0, m / 7, (m + 1) / 7) for m in range(7))
-formula = mu_asymptotic(AsymptoticCurve(kind=HIGHER_K, k=7), 23.0)
+formula = mu_asymptotic(AsymptoticCurve(), 23.0)
 print(f"   2 Im(sum) = {2 * total.imag:.10f}")
 print(f"   formula   = {formula:.10f}")
 

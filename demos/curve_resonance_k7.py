@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from harmcont import (catalog, count_solutions, follow_curve, for_catalog,
-                      mu_asymptotic)
+from harmcont import (catalog, count_solutions, envelope, follow_curve,
+                      for_catalog, mu_asymptotic)
 from harmcont.cli import write_asymptote_csv, write_curve_csv, write_svg
 
 out = Path("out/resonance-k7")
@@ -28,9 +28,8 @@ print(f"followed {len(curve.points)} points, {len(curve.gaps)} gaps")
 asym = for_catalog("resonance-k7")
 xi = curve.xi()
 formula = mu_asymptotic(asym, xi)
-envelope = 2 * np.sqrt(2 / (np.pi * xi))
 print(f"worst |mu - formula| relative to the local envelope: "
-      f"{np.max(np.abs(curve.mu() - formula) / envelope):.4f}")
+      f"{np.max(np.abs(curve.mu() - formula) / envelope(asym, xi)):.4f}")
 
 for mu_star in (0.0, 0.2, 0.5):
     print(f"solutions with mu_7 = {mu_star}: {count_solutions(curve, mu_star)} "

@@ -1,9 +1,12 @@
 """Closed-form large-xi predictions for the solution curves.
 
-Two families: the principal curve of u'' + lambda_1 u + h(u) sin u = mu_1
-phi_1 + e, where mu_1(xi) ~ (2 sqrt(2)/sqrt(pi |xi|)) sin(xi -+ pi/4) h(xi),
-and the k-th curve of u'' + lambda_k u + sin u = mu_k phi_k + e, where the
-same envelope appears with h == 1.  Both derive from the stationary-phase
+One formula serves both families the theory covers: the principal curve of
+u'' + lambda_1 u + h(u) sin u = mu_1 phi_1 + e and the k-th curve of
+u'' + lambda_k u + sin u = mu_k phi_k + e follow
+
+    mu(xi) ~ 2 sqrt(2/(pi |xi|)) sin(xi -+ pi/4) h(xi),
+
+with h == 1 for the second.  It derives from the stationary-phase
 evaluation of int f e^{i lambda g}; that evaluator is exposed directly.
 
 The slowly-varying correction inside h's argument is dropped (h is evaluated
@@ -16,27 +19,24 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .spectral import SineSeries, eigenvalue
-
-PRINCIPAL_H = "principal-h"
-HIGHER_K = "higher-k"
 
 
 @dataclass(frozen=True)
 class AsymptoticCurve:
-    """A closed-form curve family evaluable for xi != 0."""
+    """The large-xi curve formula with amplitude h; None means h == 1."""
 
-    kind: str
-    k: int = 1
-    L: float = 1.0
     h: Callable | None = None
 
-    def __post_init__(self):
-        if self.kind not in (PRINCIPAL_H, HIGHER_K):
-            raise ValueError(f"unknown asymptotic family {self.kind!r}")
-        if self.kind == PRINCIPAL_H and self.h is None:
-            raise ValueError("principal-h family needs the amplitude function h")
+
+def _decay(xi_arr):
+    return 2.0 * np.sqrt(2.0 / (np.pi * np.abs(xi_arr)))
+
+
+def _amplitude(a: AsymptoticCurve, xi_arr):
+    return 1.0 if a.h is None else np.asarray(a.h(xi_arr), dtype=float)
 
 
 def mu_asymptotic(a: AsymptoticCurve, xi):
@@ -45,34 +45,24 @@ def mu_asymptotic(a: AsymptoticCurve, xi):
     if np.any(xi_arr == 0.0):
         raise ValueError("the asymptotic formula is singular at xi = 0")
     phase = np.where(xi_arr > 0, xi_arr - np.pi / 4, xi_arr + np.pi / 4)
-    envelope = 2.0 * np.sqrt(2.0 / (np.pi * np.abs(xi_arr)))
-    out = envelope * np.sin(phase)
-    if a.kind == PRINCIPAL_H:
-        out = out * np.asarray(a.h(xi_arr), dtype=float)
+    out = _decay(xi_arr) * np.sin(phase) * _amplitude(a, xi_arr)
     return out if out.ndim else float(out)
 
 
 def envelope(a: AsymptoticCurve, xi):
     """Oscillation envelope |mu| <= envelope(xi) of the formula."""
-    xi_arr = np.abs(np.asarray(xi, dtype=float))
-    env = 2.0 * np.sqrt(2.0 / (np.pi * xi_arr))
-    if a.kind == PRINCIPAL_H:
-        env = env * np.abs(np.asarray(a.h(np.asarray(xi, dtype=float)), dtype=float))
+    xi_arr = np.asarray(xi, dtype=float)
+    env = _decay(xi_arr) * np.abs(_amplitude(a, xi_arr))
     return env if env.ndim else float(env)
 
 
 def for_catalog(name: str) -> AsymptoticCurve | None:
-    """Asymptotic family matching a catalog problem, if any."""
+    """Asymptotic curve matching a catalog problem, if any."""
     if name == "oscillatory-p512":
-        return AsymptoticCurve(kind=PRINCIPAL_H, k=1, L=1.0,
-                               h=lambda u: 5.0 * (np.asarray(u) ** 2 + 1) ** (5 / 12))
+        return AsymptoticCurve(h=lambda u: 5.0 * (np.asarray(u) ** 2 + 1) ** (5 / 12))
     if name == "resonance-k7":
-        return AsymptoticCurve(kind=HIGHER_K, k=7, L=1.0)
+        return AsymptoticCurve()
     return None
-
-
-def _derivative(fn, x, h):
-    return (fn(x + h) - fn(x - h)) / (2 * h)
 
 
 def _second_derivative(fn, x, h):
@@ -87,40 +77,24 @@ def _second_derivative(fn, x, h):
     return (4.0 * stencil(h / 2) - stencil(h)) / 3.0
 
 
-def stationary_phase(f, g, lam: float, a: float, b: float,
-                     x0: float | None = None) -> complex:
+def stationary_phase(f, g, lam: float, a: float, b: float) -> complex:
     """Leading term of int_a^b f(x) e^{i lam g(x)} dx for large lam.
 
     g must have a unique interior critical point x0 with g''(x0) != 0; x0 is
-    located by bisection on g' when not supplied.  Returns
-    e^{i [lam g(x0) +- pi/4]} sqrt(2 pi/(lam |g''(x0)|)) f(x0), the sign
-    following the sign of g''(x0).  The dropped remainder is O(1/lam).
+    the root of the centered difference of g, found by Brent's method.
+    Returns e^{i [lam g(x0) +- pi/4]} sqrt(2 pi/(lam |g''(x0)|)) f(x0), the
+    sign following the sign of g''(x0).  The dropped remainder is O(1/lam).
     """
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
     width = b - a
     hd = 1e-6 * width
-    if x0 is None:
-        lo, hi = a + hd, b - hd
-        glo, ghi = _derivative(g, lo, hd), _derivative(g, hi, hd)
-        if glo == 0.0:
-            x0 = lo
-        elif ghi == 0.0:
-            x0 = hi
-        elif glo * ghi > 0:
-            raise ValueError("no sign change of g' on the interval; "
-                             "no interior critical point found")
-        else:
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                gm = _derivative(g, mid, hd)
-                if gm == 0.0:
-                    break
-                if gm * glo < 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            x0 = 0.5 * (lo + hi)
+    try:
+        x0 = brentq(lambda x: (g(x + hd) - g(x - hd)) / (2 * hd),
+                    a + hd, b - hd, xtol=1e-12)
+    except ValueError as exc:
+        raise ValueError("no sign change of g' on the interval; "
+                         "no interior critical point found") from exc
     g2 = _second_derivative(g, x0, 1e-4 * width)
     if abs(g2) < 1e-8:
         raise ValueError(

@@ -135,8 +135,8 @@ def hump_sum_identity(k: int = 7, xi: float = 23.0) -> float:
     g = lambda x: np.sin(k * np.pi * np.asarray(x, dtype=float))
     total = sum(asymptotics.stationary_phase(g, g, xi, m / k, (m + 1) / k)
                 for m in range(k))
-    a = asymptotics.AsymptoticCurve(kind=asymptotics.HIGHER_K, k=k, L=1.0)
-    return abs(2.0 * total.imag - asymptotics.mu_asymptotic(a, xi))
+    formula = asymptotics.mu_asymptotic(asymptotics.AsymptoticCurve(), xi)
+    return abs(2.0 * total.imag - formula)
 
 
 def asymptotics_suite() -> list[CheckRow]:
@@ -151,7 +151,7 @@ def asymptotics_suite() -> list[CheckRow]:
     rows.append(_row("asymptotics", "zero crossings at pi/4 + n pi", worst < 1e-12,
                      f"worst |mu| at the nodes = {worst:.2e}"))
 
-    hk = asymptotics.AsymptoticCurve(kind=asymptotics.HIGHER_K, k=7)
+    hk = asymptotics.AsymptoticCurve()
     xs = np.linspace(1.0, 80.0, 4001)
     vals = np.abs(asymptotics.mu_asymptotic(hk, xs))
     env = asymptotics.envelope(hk, xs)

@@ -178,7 +178,6 @@ def analyze(c: Curve) -> CurveAnalysis:
             continue
         if s0 * s1 < 0 or (s0 != 0 and s1 == 0):
             node = i + 1 if abs(s0) <= abs(s1) else i + 2
-            node = min(max(node, 1), len(xi) - 2)
             xv, yv = _parabolic_vertex(xi[node - 1:node + 2], mu[node - 1:node + 2])
             kind = "min" if s0 < s1 else "max"
             if not extrema or abs(extrema[-1][0] - xv) > 1e-12:

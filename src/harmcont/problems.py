@@ -307,7 +307,8 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     with none on mode k.  L must be positive and finite.  g(0)
     must be finite, since u vanishes at both ends.  The optional [run]
     section carries xi_min, xi_max, xi_step, modes, newton_tol, max_iter,
-    mu_star (comma-separated list).
+    mu_star (comma-separated list); they are parsed here and checked by
+    check_run_settings once the caller has applied its overrides.
     """
     cp = configparser.ConfigParser()
     try:
@@ -353,17 +354,15 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
                 )
         except ValueError as exc:
             raise ConfigError(f"{path}: bad [run] value: {exc}") from exc
-    settings = RunSettings(**kwargs)
-    check_run_settings(spec, settings, where=f"{path}: ")
-    return spec, settings
+    return spec, RunSettings(**kwargs)
 
 
 def check_run_settings(spec: ProblemSpec, settings: RunSettings, where: str = "") -> None:
     """Raise ConfigError unless the [run] settings can be run on spec.
 
     The xi range must be finite and nonempty, the step finite and positive,
-    and the mode count must hold twice the driven harmonic and every forcing
-    mode.
+    every mu_star finite, and the mode count must hold twice the driven
+    harmonic and every forcing mode.
     """
     for key in ("xi_min", "xi_max", "xi_step"):
         value = getattr(settings, key)
@@ -374,6 +373,8 @@ def check_run_settings(spec: ProblemSpec, settings: RunSettings, where: str = ""
                           f"[{settings.xi_min}, {settings.xi_max}]")
     if settings.xi_step <= 0:
         raise ConfigError(f"{where}xi_step must be positive, got {settings.xi_step}")
+    if not np.all(np.isfinite(settings.mu_star)):
+        raise ConfigError(f"{where}mu_star must be finite, got {settings.mu_star}")
     need = max(2 * spec.k, spec.e.n_modes)
     if settings.modes < need:
         raise ConfigError(f"{where}modes must be at least max(2k, forcing modes) = "

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from harmcont.asymptotics import for_catalog, mu_asymptotic, universal_profile
+from harmcont.asymptotics import envelope, for_catalog, mu_asymptotic, universal_profile
 from harmcont.checks import asymptotics_suite, linear_suite, oracle_suite
 from harmcont.continuation import analyze, count_solutions, follow_curve
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
@@ -93,7 +93,7 @@ def test_criterion_3_sup_agreement_with_formula(fig2_curve):
     mu = curve.mu()
     window = (xi >= 30.0) & (xi <= 60.0)
     formula = mu_asymptotic(a, xi[window])
-    local_env = 2.0 * np.sqrt(2.0 / (np.pi * xi[window]))
+    local_env = envelope(a, xi[window])
     ratio = np.max(np.abs(mu[window] - formula) / (0.05 * local_env))
     ok = not curve.gaps and ratio < 1.0
     assert report("3 (k = 7 curve vs formula, 5% of envelope)", ok,

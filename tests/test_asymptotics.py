@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from harmcont.asymptotics import (HIGHER_K, PRINCIPAL_H, AsymptoticCurve,
-                                  envelope, for_catalog, mu_asymptotic,
-                                  stationary_phase, universal_profile)
+from harmcont.asymptotics import (AsymptoticCurve, envelope, for_catalog,
+                                  mu_asymptotic, stationary_phase,
+                                  universal_profile)
 from harmcont.checks import hump_sum_identity
 from harmcont.oracle import oscillatory_quadrature
 from harmcont.spectral import SineSeries
 
 PI2 = np.pi ** 2
-HK = AsymptoticCurve(kind=HIGHER_K, k=7)
+HK = AsymptoticCurve()  # h == 1: the k-th curve of lambda_k u + sin u
 
 
 class TestCurveFormulas:
@@ -58,15 +58,15 @@ class TestCurveFormulas:
         with pytest.raises(ValueError):
             mu_asymptotic(HK, np.array([1.0, 0.0]))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AsymptoticCurve(kind="bogus")
-        with pytest.raises(ValueError):
-            AsymptoticCurve(kind=PRINCIPAL_H)  # needs h
+    def test_envelope_scales_by_abs_h(self):
+        a = AsymptoticCurve(h=lambda u: -3.0 * np.ones_like(u))
+        xs = np.array([-7.0, 2.0, 50.0])
+        assert np.array_equal(envelope(a, xs), envelope(HK, xs) * 3.0)
 
     def test_catalog_mapping(self):
-        assert for_catalog("resonance-k7").kind == HIGHER_K
-        assert for_catalog("oscillatory-p512").kind == PRINCIPAL_H
+        assert for_catalog("resonance-k7").h is None
+        h = for_catalog("oscillatory-p512").h
+        assert h(40.0) == pytest.approx(5.0 * (40.0 ** 2 + 1) ** (5 / 12), rel=1e-15)
         assert for_catalog("amann-hess-type") is None
 
 
@@ -113,11 +113,6 @@ class TestStationaryPhase:
         sp = stationary_phase(f, g, lam, 0.0, 1.0)
         expected = np.exp(1j * (-lam + np.pi / 4)) * np.sqrt(2.0 / (np.pi * lam))
         assert sp == pytest.approx(expected, rel=1e-7)
-
-    def test_supplied_critical_point(self):
-        sp_auto = stationary_phase(one, square, 200.0, -1.0, 1.0)
-        sp_given = stationary_phase(one, square, 200.0, -1.0, 1.0, x0=0.0)
-        assert sp_auto == pytest.approx(sp_given, rel=1e-10)
 
     def test_degenerate_critical_point_rejected(self):
         quartic = lambda x: np.asarray(x, dtype=float) ** 4

@@ -214,12 +214,32 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"],
         ["--step", "nan"], ["--step", "inf"], ["--xi-max", "inf"],
+        ["--mu-star", "nan"], ["--mu-star", "0", "--mu-star", "inf"],
     ], ids=["tol-negative", "tol-nan", "tol-inf", "max-iter-0", "step-nan",
-            "step-inf", "xi-max-inf"])
+            "step-inf", "xi-max-inf", "mu-star-nan", "mu-star-inf"])
     def test_bad_run_settings(self, tmp_path, flags):
         out = tmp_path / "out"
         assert run_cli("run", "cubic(1)", *QUICK, *flags, "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("run", [
+        "xi_min = 2\nxi_max = -2\n", "mu_star = nan, 1\n",
+    ], ids=["empty-range", "mu-star-nan"])
+    def test_bad_config_run_settings(self, tmp_path, run):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(f"[problem]\ng = u\n[run]\n{run}")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_flags_fix_config_range(self, tmp_path):
+        # the [run] values are checked after the flags override them
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text("[problem]\ng = pi^2*u + sin(u)\n[run]\n"
+                       "xi_min = 5\nxi_max = 1\nxi_step = 0.5\nmodes = 16\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--xi-min", "0", "--out", str(out)) == EXIT_OK
+        assert (out / "curve.csv").read_text().splitlines()[1].startswith("0.0,")
 
     @pytest.mark.parametrize("g", [
         "1/u", "u^-1", "pi^2*u + 0.1/(u^2)",

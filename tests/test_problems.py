@@ -201,12 +201,6 @@ mu_star = 0, 1.5
         with pytest.raises(ConfigError, match=r"g\(0\)"):
             load_config(self.write(tmp_path, f"[problem]\ng = {g}\n"))
 
-    def test_empty_range_rejected(self, tmp_path):
-        path = self.write(tmp_path,
-                          "[problem]\ng = u\n[run]\nxi_min = 2\nxi_max = -2\n")
-        with pytest.raises(ConfigError, match="xi_min"):
-            load_config(path)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
