@@ -296,12 +296,13 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = checks.run_suite(args.suite)
-    width = max(len(f"{r.suite}/{r.name}") for r in rows)
+    labels = [f"{r.suite}/{r.name}" for r in rows]
+    width = max(map(len, labels))
     failed = 0
-    for r in rows:
+    for r, label in zip(rows, labels):
         status = "PASS" if r.passed else "FAIL"
         failed += not r.passed
-        print(f"{status}\t{r.suite}/{r.name:<{width}}\t{r.detail}")
+        print(f"{status}\t{label:<{width}}\t{r.detail}")
     print(f"{'PASS' if failed == 0 else 'FAIL'}\ttotal\t"
           f"{len(rows) - failed}/{len(rows)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemSpec
-from .solver import SolutionPoint, SolverSettings, solve_at_signature
+from .solver import SolutionPoint, SolverSettings, _Workspace, solve_at_signature
 from .spectral import SineSeries
 
 MAX_HALVINGS = 6  # deepest bridge sub-step is 1/2^MAX_HALVINGS of a node step
@@ -78,9 +78,11 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     sub-step (depth, j) is retried at (depth + 1, 2j - 1).  If depth
     MAX_HALVINGS fails, the direct attempt is recorded as the node's gap row
     and marching moves on.  An entirely unsolvable range yields a curve of
-    gap rows only.
+    gap rows only.  All solves of the curve, direct and bridging, share one
+    workspace, which carries a kept LU from each solve to the next.
     """
     settings = settings or SolverSettings()
+    ws = _Workspace(p, n_modes)
     rows: list[SolutionPoint] = []
     warm = SineSeries.zero(p.L, n_modes)
     prev = last = None  # the last two converged points
@@ -92,14 +94,14 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
             size = np.hypot(last.xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
             if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
                 start = SineSeries(p.L, warm.coeffs + move)
-        pt = solve_at_signature(p, target, start, settings)
+        pt = solve_at_signature(p, target, start, settings, workspace=ws)
         if not pt.converged and last is not None:
             depth, j, bridge = 1, 1, warm
             while depth <= MAX_HALVINGS:
                 sub = 2 ** depth
                 # last sub-step lands on the node exactly, not within an ulp
                 xi_j = target if j == sub else last.xi + (target - last.xi) * j / sub
-                bp = solve_at_signature(p, xi_j, bridge, settings)
+                bp = solve_at_signature(p, xi_j, bridge, settings, workspace=ws)
                 if not bp.converged:
                     depth, j = depth + 1, 2 * j - 1
                 elif j == sub:

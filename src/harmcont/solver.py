@@ -8,18 +8,18 @@ a damped Newton iteration on the sine coefficients of U.  The iteration works
 on plain coefficient arrays; a SineSeries is built only for the returned
 point.
 
-The per-(problem, N) workspace is kept in a one-slot cache, so the nodes of a
-curve share one, and with it the LU of the last Jacobian factored.  A solve
-that starts with such an LU kept first takes chord steps on it: the full
-step -LU^-1 R of simplified Newton (Deuflhard, Newton Methods for Nonlinear
-Problems, 2004, sec. 2.1), each kept only when it cuts the residual norm to
-at most THETA of its value.  The first chord step that does not is
-discarded, and the solve goes on from the same iterate as it would without a
-kept LU: damped Newton with a fresh Jacobian, its condition check and the
-line search in every iteration; each fresh LU replaces the kept one.  A
-failed solve drops the kept LU.  Successive nodes of a curve are close, so
-most of them converge on chord steps alone.  The LU, its solves and the
-condition estimate are direct LAPACK calls.
+A solve given a workspace that keeps the LU of an earlier Jacobian first
+takes chord steps on it: the full step -LU^-1 R of simplified Newton
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 2.1), each
+kept only when it cuts the residual norm to at most THETA of its value.
+The first chord step that does not is discarded, and the solve goes on from
+the same iterate as it would without a kept LU: damped Newton with a fresh
+Jacobian, its condition check and the line search in every iteration; each
+fresh LU replaces the kept one.  A failed solve drops the kept LU.  A curve
+passes one workspace to all its solves; its nodes are close, so most of
+them converge on chord steps alone.  A solve given no workspace builds its
+own and starts cold, so equal arguments give bit-identical points.  The LU,
+its solves and the condition estimate are direct LAPACK calls.
 """
 
 from __future__ import annotations
@@ -164,38 +164,26 @@ class _Workspace:
         return U_try, R, mu, u_vals, l2_norm(R, self.p.L)
 
 
-_cached_workspace: _Workspace | None = None
-
-
-def _workspace(p: ProblemSpec, n_modes: int) -> _Workspace:
-    """The workspace of (p, n_modes), reused while consecutive solves share both.
-
-    One slot: a curve solves one problem at one resolution, node after node.
-    The slot holds p itself, so a recycled id cannot alias another problem.
-    """
-    global _cached_workspace
-    ws = _cached_workspace
-    if ws is None or ws.p is not p or ws.N != n_modes:
-        ws = _cached_workspace = _Workspace(p, n_modes)
-    return ws
-
-
 def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
                        settings: SolverSettings | None = None,
-                       n_modes: int = 64) -> SolutionPoint:
+                       n_modes: int = 64,
+                       workspace: _Workspace | None = None) -> SolutionPoint:
     """Damped Newton iteration for the curve point at prescribed xi.
 
     U0 is a warm start orthogonal to the driven harmonic (zero series if
     omitted); its mode count sets the spectral resolution unless it is None,
-    in which case n_modes is used.  Non-convergence is reported in the
-    returned point, never raised.
+    in which case n_modes is used.  workspace, built for p at that
+    resolution, carries a kept LU in and out; without one the solve starts
+    cold.  Non-convergence is reported in the returned point, never raised.
     """
     settings = settings or SolverSettings()
     if U0 is None:
         U0 = SineSeries.zero(p.L, n_modes)
     if p.k <= U0.n_modes and U0.coeffs[p.k - 1] != 0.0:
         raise ValueError("warm start must have zero coefficient on the driven harmonic")
-    ws = _workspace(p, U0.n_modes)
+    ws = workspace or _Workspace(p, U0.n_modes)
+    if ws.p is not p or ws.N != U0.n_modes:
+        raise ValueError("workspace was built for another problem or mode count")
     red = ws.reduced
 
     U = U0.padded(ws.N)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from harmcont import checks
+from harmcont.checks import CheckRow
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
 
@@ -189,6 +191,15 @@ class TestVerify:
         for line in capsys.readouterr().out.strip().splitlines():
             status, name, detail = line.split("\t")
             assert status in ("PASS", "FAIL")
+
+    def test_labels_padded_across_suites(self, capsys, monkeypatch):
+        rows = [CheckRow("linear", "a", True, "x"),
+                CheckRow("asymptotics", "longer name", True, "y"),
+                CheckRow("oracle", "b", False, "z")]
+        monkeypatch.setattr(checks, "run_suite", lambda suite: rows)
+        assert run_cli("verify", "all") == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.strip().splitlines()[:-1]  # not the total
+        assert len({len(line.split("\t")[1]) for line in lines}) == 1
 
 
 class TestExitCodes:

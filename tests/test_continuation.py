@@ -191,6 +191,24 @@ class TestBridge:
         assert all(g.xi in node_set and g.failure for g in c.gaps)
         assert all(pt.residual_norm < 1e-10 for pt in c.points)
 
+    def test_one_workspace_per_curve(self, monkeypatch):
+        # the direct attempts and every bridge sub-step share the curve's
+        # workspace; a solve given none would build its own
+        nl = Nonlinearity.from_expression("4*pi^2*u + 2*sin(u)")
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        built = []
+        init = solver._Workspace.__init__
+
+        def counting_init(ws, *args):
+            built.append(args)
+            init(ws, *args)
+
+        monkeypatch.setattr(solver._Workspace, "__init__", counting_init)
+        c = follow_curve(p, -5.0, 0.0, 0.1, n_modes=32)
+        assert len(c.gaps) == 4
+        assert built == [(p, 32)]
+
 
 class TestKeptFactorization:
     @pytest.mark.parametrize("A", [1.5, 3.0])
@@ -204,9 +222,8 @@ class TestKeptFactorization:
         kept = follow_curve(p, -10.0, 10.0, 0.1).rows
         solve = continuation.solve_at_signature
 
-        def fresh_solve(*args):
-            monkeypatch.setattr(solver, "_cached_workspace", None)
-            return solve(*args)
+        def fresh_solve(*args, workspace):
+            return solve(*args)  # without the curve's workspace: a cold solve
 
         monkeypatch.setattr(continuation, "solve_at_signature", fresh_solve)
         fresh = follow_curve(p, -10.0, 10.0, 0.1).rows
@@ -227,8 +244,8 @@ class TestPredictor:
         calls = []  # (xi, start coefficients, returned point), in call order
         solve = continuation.solve_at_signature
 
-        def failing_solve(p, xi, U0, settings):
-            pt = solve(p, xi, U0, settings)
+        def failing_solve(p, xi, U0, settings, **kwargs):
+            pt = solve(p, xi, U0, settings, **kwargs)
             if (xi == fail_once and not any(c[0] == xi for c in calls)) or xi == fail_always:
                 pt = dataclasses.replace(pt, converged=False, failure="max_iter")
             calls.append((float(xi), U0.coeffs.copy(), pt))

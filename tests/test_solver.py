@@ -228,54 +228,45 @@ class TestTangent:
         # previous nodes (a difference approximation of the curve tangent),
         # converges on chord steps alone, on the LU factored for those nodes
         p = catalog(name)
-        prev = solve_at_signature(p, xi - 0.2, n_modes=n_modes)
-        last = solve_at_signature(p, xi - 0.1, prev.U)
+        ws = _Workspace(p, n_modes)
+        prev = solve_at_signature(p, xi - 0.2, n_modes=n_modes, workspace=ws)
+        last = solve_at_signature(p, xi - 0.1, prev.U, workspace=ws)
         secant = last.U.coeffs + (xi - last.xi) / (last.xi - prev.xi) * (
             last.U.coeffs - prev.U.coeffs)
         lu_calls = counting_lu(monkeypatch)
-        pt = solve_at_signature(p, xi, SineSeries(p.L, secant))
+        pt = solve_at_signature(p, xi, SineSeries(p.L, secant), workspace=ws)
         assert lu_calls[0] == 0 and pt.newton_iters >= 1
         # control: from the plain warm start, the last node's remainder, the
         # same kept LU does not contract.  On the amann-hess-type and
         # resonance-k7 figure ranges (step 0.1) no node was found where the
         # plain start needs a fresh LU, so those cases show only the secant
         if name == "oscillatory-p512":
-            plain = solve_at_signature(p, xi, last.U)
+            plain = solve_at_signature(p, xi, last.U, workspace=ws)
             assert plain.converged and lu_calls[0] >= 1
-        monkeypatch.setattr(solver, "_cached_workspace", None)
         cold = solve_at_signature(p, xi, n_modes=n_modes)
         assert pt.converged and abs(pt.mu - cold.mu) <= 1e-10
 
 
-class TestWorkspaceCache:
-    def test_reused_workspace_gives_bitwise_equal_solves(self, monkeypatch):
-        p1, p2 = catalog("oscillatory-p512"), catalog("amann-hess-type")
-        runs = [(p1, 64), (p2, 64), (p1, 64), (p1, 32)]
-        monkeypatch.setattr(solver, "_cached_workspace", None)
-        cached = []
-        for p, n in runs:
-            cached.append(solve_at_signature(p, 3.0, n_modes=n))
-            assert solver._cached_workspace.p is p and solver._cached_workspace.N == n
-        ws = solver._cached_workspace
-        solve_at_signature(p1, 3.5, n_modes=32)
-        assert solver._cached_workspace is ws  # same problem and N: reused
-        for (p, n), a in zip(runs, cached):
-            monkeypatch.setattr(solver, "_cached_workspace", None)
-            b = solve_at_signature(p, 3.0, n_modes=n)
-            assert a.converged and b.converged
-            assert (a.mu, a.residual_norm, a.newton_iters) == (b.mu, b.residual_norm,
-                                                                b.newton_iters)
-            assert np.array_equal(a.U.coeffs, b.U.coeffs)
+class TestHistoryIndependence:
+    def test_equal_arguments_give_bitwise_equal_points(self):
+        # a solve given no workspace starts cold, whatever was solved before
+        p = catalog("oscillatory-p512")
+        assert solve_at_signature(p, 40.0, n_modes=64).converged
+        a, b = (solve_at_signature(p, 10.0, n_modes=64) for _ in range(2))
+        assert a.converged and b.converged
+        assert (a.mu, a.residual_norm, a.newton_iters) == (b.mu, b.residual_norm,
+                                                            b.newton_iters)
+        assert np.array_equal(a.U.coeffs, b.U.coeffs)
 
 
 class TestFactorizationReuse:
     def test_rejected_chord_step_leaves_the_iteration_unchanged(self, monkeypatch):
         # an LU kept from xi = 40 does not contract at xi = 10: the chord step
-        # is discarded, and the solve is the cold-cache solve bit for bit
+        # is discarded, and the solve is the cold solve bit for bit
         p = catalog("oscillatory-p512")
-        monkeypatch.setattr(solver, "_cached_workspace", None)
-        assert solve_at_signature(p, 40.0, n_modes=64).converged
-        assert solver._cached_workspace.factor is not None
+        ws = _Workspace(p, 64)
+        assert solve_at_signature(p, 40.0, workspace=ws).converged
+        assert ws.factor is not None
         residuals = [0]
         residual_mu = _Workspace.residual_mu
 
@@ -284,9 +275,8 @@ class TestFactorizationReuse:
             return residual_mu(ws, xi, U)
 
         monkeypatch.setattr(_Workspace, "residual_mu", counting)
-        kept = solve_at_signature(p, 10.0, n_modes=64)
+        kept = solve_at_signature(p, 10.0, workspace=ws)
         kept_residuals, residuals[0] = residuals[0], 0
-        monkeypatch.setattr(solver, "_cached_workspace", None)
         cold = solve_at_signature(p, 10.0, n_modes=64)
         assert kept_residuals == residuals[0] + 1  # the discarded chord step
         assert kept.converged and cold.converged
@@ -294,14 +284,12 @@ class TestFactorizationReuse:
             cold.mu, cold.residual_norm, cold.newton_iters)
         assert np.array_equal(kept.U.coeffs, cold.U.coeffs)
 
-    def test_singular_jacobian_reported_with_kept_factorization(self, monkeypatch):
+    def test_singular_jacobian_reported_with_kept_factorization(self):
         p = singular_spec()
         ws = _Workspace(p, 8)
         n = ws.reduced.size
         ws.factor = solver.lu_factor(np.eye(n))
-        monkeypatch.setattr(solver, "_cached_workspace", ws)
-        pt = solve_at_signature(p, 0.0, n_modes=8)
-        assert solver._cached_workspace is ws
+        pt = solve_at_signature(p, 0.0, n_modes=8, workspace=ws)
         assert not pt.converged and pt.failure == "singular_jacobian"
         assert ws.factor is None
 
@@ -312,12 +300,19 @@ class TestFactorizationReuse:
     def test_failed_solve_drops_factorization(self, xi, settings, failure):
         # the problem of test_stalled_line_search_terminates for the stall
         p = catalog("oscillatory-p512") if failure == "max_iter" else stalling_spec()
-        assert solve_at_signature(p, xi - 0.1, n_modes=64).converged
-        ws = solver._cached_workspace
+        ws = _Workspace(p, 64)
+        assert solve_at_signature(p, xi - 0.1, workspace=ws).converged
         assert ws.factor is not None
-        pt = solve_at_signature(p, xi, settings=settings, n_modes=64)
-        assert pt.failure == failure
-        assert solver._cached_workspace is ws and ws.factor is None
+        pt = solve_at_signature(p, xi, settings=settings, workspace=ws)
+        assert pt.failure == failure and ws.factor is None
+
+    @pytest.mark.parametrize("other", ["problem", "modes"])
+    def test_workspace_of_another_solve_rejected(self, other):
+        p = catalog("oscillatory-p512")
+        ws = _Workspace(catalog("oscillatory-p512") if other == "problem" else p, 32)
+        U0 = SineSeries.zero(p.L, 32 if other == "problem" else 64)
+        with pytest.raises(ValueError, match="another problem or mode count"):
+            solve_at_signature(p, 10.0, U0, workspace=ws)
 
 
 JACOBIAN_CHECK_DIRECTIONS = 5  # random directions jacobian_check probes
@@ -330,7 +325,7 @@ def jacobian_check(p, xi, U):
     Compares J v against (R(U+hv) - R(U-hv)) / 2h for random directions v
     orthogonal to the driven harmonic; returns the worst relative error.
     """
-    ws = solver._workspace(p, U.n_modes)
+    ws = _Workspace(p, U.n_modes)
     red = ws.reduced
     Uc = U.padded(ws.N)
     Uc[p.k - 1] = 0.0
