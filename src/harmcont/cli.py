@@ -286,7 +286,9 @@ def cmd_run(args) -> int:
             return EXIT_CONFIG
         root = Path(args.out) if args.out else _out_root()
         outs = [str(root / c.stem) for c in configs]
-        jobs = max(1, args.jobs)
+        # a fork pool starts all its workers at the first submit, so no more
+        # than there are configs
+        jobs = min(max(1, args.jobs), len(configs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(_run_one_job, [str(c) for c in configs],
                                   [overrides] * len(configs), outs))

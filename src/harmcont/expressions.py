@@ -1,24 +1,26 @@
-"""Tiny arithmetic grammar for user-supplied nonlinearities g(u).
+"""Tiny arithmetic grammar for user-supplied nonlinearities g(u), compiled once.
 
 Supports + - * / ^ (power, right-associative), unary minus, parentheses,
 the constant pi, the variable u, and the functions sin, cos, arctan, ln,
-abs.  Expressions are parsed to a small tuple tree, at most MAX_DEPTH levels
-deep, and evaluated on numpy arrays or scalars with numpy semantics (1/0 is
-inf, not an exception).
+abs.  Expression(text) parses to a small tuple tree, at most MAX_DEPTH
+levels deep, folds every u-free subtree to an np.float64 and turns every
+other node into one closure over its children, in the tree's order: nothing
+is reassociated, shared or rewritten.  It evaluates on numpy arrays or
+scalars with numpy semantics (1/0 is inf, not an exception).
 
 complex_step(g, u) = Im g(u + ih) / h is the one rule for g' (Squire &
-Trapp, SIAM Rev. 40, 1998), for compiled expressions and catalog entries
-alike: no difference is taken, so with h = 1e-30 it is exact to roundoff
-wherever g is real-analytic and evaluates complex input without casting it
-to float.  abs is continued analytically as -z or z by the sign of Re z.
-Where g has no real derivative the complex step still returns a finite
-number: 1 for abs(u) at 0, about 7e14 for u^0.5 at 0, and some value for
-u^u at 0 and at negative integers.
+Trapp, SIAM Rev. 40, 1998): no difference is taken, so with h = 1e-30 it
+is exact to roundoff wherever g is real-analytic and evaluates complex
+input without casting it to float.  abs is continued analytically as -z or
+z by the sign of Re z.  Where g has no real derivative the complex step
+still returns a finite number: 1 for abs(u) at 0, about 7e14 for u^0.5 at
+0, and some value for u^u at 0 and at negative integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import partial
 
@@ -177,34 +179,53 @@ def parse(text: str):
     return tree
 
 
-def evaluate(tree, u):
-    """Evaluate a tree at u (real or complex, scalar or numpy array).
+_OPERATIONS = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "div": operator.truediv, "pow": operator.pow,
+               **_FUNCTIONS}
 
-    Scalars are numpy scalars throughout, so 1/0 gives inf and 0/0 nan
-    (with numpy's warning) where Python floats would raise.
+
+def _compile(tree):
+    """An np.float64 for a u-free tree, otherwise a closure u -> value."""
+    if tree[0] == "num":
+        return np.float64(tree[1])
+    if tree[0] == "var":
+        return lambda u: u
+    f, args = _OPERATIONS[tree[0]], [_compile(kid) for kid in tree[1:]]
+    if not any(map(callable, args)):
+        return f(*args)
+    a = args[0]
+    if len(args) == 1:
+        return lambda u: f(a(u))
+    b = args[1]
+    if not callable(b):
+        return lambda u: f(a(u), b)
+    if not callable(a):
+        return lambda u: f(a, b(u))
+    return lambda u: f(a(u), b(u))
+
+
+class Expression:
+    """g(u) compiled from text; call it at u (real or complex, scalar or array).
+
+    .constant is the folded value of a text without u, and None otherwise.
+    Folding warns of nothing; a call returns numpy scalars for scalar u, so
+    1/0 gives inf and 0/0 nan (with numpy's warning).  Pickles as its text.
     """
-    op = tree[0]
-    if op == "num":
-        return np.full(np.shape(u), tree[1])
-    if op == "var":
-        return np.asarray(u)
-    if op == "neg":
-        return -evaluate(tree[1], u)
-    if op in _FUNCTIONS:
-        return _FUNCTIONS[op](evaluate(tree[1], u))
-    a = evaluate(tree[1], u)
-    b = evaluate(tree[2], u)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ExpressionError(f"corrupt tree node {op!r}")
+
+    def __init__(self, text: str):
+        self.text = text
+        with np.errstate(all="ignore"):
+            self._program = _compile(parse(text))
+        self.constant = None if callable(self._program) else self._program
+
+    def __call__(self, u):
+        u = np.asarray(u)
+        if self.constant is not None:
+            return np.full(u.shape, self.constant)
+        return self._program(u)
+
+    def __reduce__(self):
+        return Expression, (self.text,)
 
 
 def complex_step(g, u):
@@ -214,9 +235,5 @@ def complex_step(g, u):
 
 def compile_expression(text: str):
     """Return (g, g_prime) callables for an expression in u; g' by complex step."""
-    tree = parse(text)
-
-    def g(u, _tree=tree):
-        return evaluate(_tree, u)
-
+    g = Expression(text)
     return g, partial(complex_step, g)

@@ -2,8 +2,10 @@
 
 A problem is u'' + g(u) = mu_k sin(k pi x/L) + e(x) on (0, L) with Dirichlet
 ends, where e is orthogonal to the driven harmonic.  mu_k is a solver output,
-never a field.  Catalog entries and config expressions alike take g' as
-expressions.complex_step of their g.
+never a field.  Every g is text compiled once by expressions.Expression:
+a config's g is its expression, and each catalog entry's g is the text in
+the catalog table, which is also its descriptor.  Every g' is
+expressions.complex_step of its g.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from . import expressions
 from .spectral import SineSeries, eigenvalue
 
-_PI2 = np.pi ** 2
 # check_derivative: sample count and range of u, and the largest relative error
 DERIVATIVE_SAMPLES = 100
 DERIVATIVE_RANGE = (-50.0, 50.0)
@@ -91,35 +92,22 @@ def check_derivative(nl: Nonlinearity) -> float:
     return err
 
 
-# --- catalog nonlinearities (module-level so problem specs stay picklable) ---
-# Each takes complex u as well, since g' is its complex step: np.asarray(u,
-# dtype=float) would drop the imaginary part and make g' = 0.
+# --- catalog nonlinearities ------------------------------------------------
+# Each fixed entry's g is compiled from its text here, and the text is also
+# its descriptor.  The compiled g are module attributes, read by catalog() at
+# call time, so a wrapper set on the module is what a problem gets.
 
-def _g_amann_hess(u):
-    u = np.asarray(u)
-    return np.cos(u) + u * (_PI2 + (2 / np.pi) * np.arctan(u)
-                            + 0.9 * np.sin(np.log(u * u + 1)))
+_CATALOG_TEXT = {
+    "amann-hess-type": "cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
+    "oscillatory-p512": "pi^2*u + 5*(u^2+1)^(5/12)*sin(u)",
+    "resonance-k7": "49*pi^2*u + sin(u)",
+    "resonant-bounded": "pi^2*u + u/(1+u^2)",
+}
 
-
-def _g_oscillatory(u):
-    u = np.asarray(u)
-    return _PI2 * u + 5.0 * (u * u + 1) ** (5 / 12) * np.sin(u)
-
-
-def _g_resonance_k7(u):
-    u = np.asarray(u)
-    return 49 * _PI2 * u + np.sin(u)
-
-
-def _g_cubic(u, lam):
-    u = np.asarray(u)
-    return lam * u - u ** 3
-
-
-def _g_resonant_bounded(u):
-    u = np.asarray(u)
-    return _PI2 * u + u / (1 + u * u)
-
+_g_amann_hess = expressions.Expression(_CATALOG_TEXT["amann-hess-type"])
+_g_oscillatory = expressions.Expression(_CATALOG_TEXT["oscillatory-p512"])
+_g_resonance_k7 = expressions.Expression(_CATALOG_TEXT["resonance-k7"])
+_g_resonant_bounded = expressions.Expression(_CATALOG_TEXT["resonant-bounded"])
 
 CATALOG_NAMES = (
     "amann-hess-type",
@@ -129,7 +117,7 @@ CATALOG_NAMES = (
     "resonant-bounded",
 )
 
-DEFAULT_CUBIC_LAMBDA = _PI2 / 2
+DEFAULT_CUBIC_LAMBDA = np.pi ** 2 / 2
 
 _CUBIC_RE = re.compile(r"cubic(?:\((?P<arg>.*)\))?$")
 
@@ -137,20 +125,14 @@ _CUBIC_RE = re.compile(r"cubic(?:\((?P<arg>.*)\))?$")
 def _cubic_lambda(arg: str) -> float:
     """lambda of "cubic(arg)": a finite constant expression; ConfigError otherwise."""
     try:
-        tree = expressions.parse(arg)
+        lam = expressions.Expression(arg).constant
     except expressions.ExpressionError as exc:
         raise ConfigError(f"cubic({arg}): {exc}") from exc
-    nodes = [tree]
-    while nodes:
-        node = nodes.pop()
-        if node[0] == "var":
-            raise ConfigError(f"cubic({arg}): lambda must be a constant, not depend on u")
-        nodes += [kid for kid in node[1:] if isinstance(kid, tuple)]
-    with np.errstate(all="ignore"):
-        lam = float(expressions.evaluate(tree, 0.0))
+    if lam is None:
+        raise ConfigError(f"cubic({arg}): lambda must be a constant, not depend on u")
     if not np.isfinite(lam):
         raise ConfigError(f"cubic({arg}): lambda = {lam} is not finite")
-    return lam
+    return float(lam)
 
 
 def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
@@ -164,28 +146,22 @@ def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
     with a coefficient on the driven harmonic.  g' is the complex step of g.
     An unknown name raises KeyError.
     """
-    # the _g_* are looked up here, at call time, so a wrapped module
-    # attribute is what the problem gets
     name = name.strip()
     m = _CUBIC_RE.fullmatch(name)
     if m:
         arg = m.group("arg")
         lam = DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == "" else _cubic_lambda(arg)
-        g, descriptor, k, pairs = (partial(_g_cubic, lam=lam), f"{lam!r}*u - u^3",
-                                   1, [(2, 0.3)])
-    elif name == "amann-hess-type":
-        g, descriptor, k, pairs = (
-            _g_amann_hess, "cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
-            1, [(2, 1.0), (5, -2.0)])
-    elif name == "oscillatory-p512":
-        g, descriptor, k, pairs = (_g_oscillatory, "pi^2*u + 5*(u^2+1)^(5/12)*sin(u)",
-                                   1, [(2, 0.2)])
-    elif name == "resonance-k7":
-        g, descriptor, k, pairs = (_g_resonance_k7, "49*pi^2*u + sin(u)",
-                                   7, [(3, 1.0), (4, -2.0)])
-    elif name == "resonant-bounded":
-        g, descriptor, k, pairs = (_g_resonant_bounded, "pi^2*u + u/(1+u^2)",
-                                   1, [(2, 0.2)])
+        descriptor = f"{lam!r}*u - u^3"
+        g, k, pairs = expressions.Expression(descriptor), 1, [(2, 0.3)]
+    elif name in _CATALOG_TEXT:
+        descriptor = _CATALOG_TEXT[name]
+        # built here, at call time, so it reads the _g_* the module holds now
+        g, k, pairs = {
+            "amann-hess-type": (_g_amann_hess, 1, [(2, 1.0), (5, -2.0)]),
+            "oscillatory-p512": (_g_oscillatory, 1, [(2, 0.2)]),
+            "resonance-k7": (_g_resonance_k7, 7, [(3, 1.0), (4, -2.0)]),
+            "resonant-bounded": (_g_resonant_bounded, 1, [(2, 0.2)]),
+        }[name]
     else:
         raise KeyError(
             f"unknown catalog problem {name!r}; available: {', '.join(CATALOG_NAMES)}"

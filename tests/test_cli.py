@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from harmcont import checks
+from harmcont import checks, cli
 from harmcont.checks import CheckRow
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
@@ -172,6 +172,36 @@ class TestRunConfig:
         assert code == EXIT_CONFIG
         assert (out / "one" / "curve.csv").exists()
         assert not (out / "two").exists()
+
+    def test_jobs_capped_at_config_count(self, tmp_path, monkeypatch):
+        # a fork pool starts max_workers processes at once; record the count
+        # with a serial stand-in instead of starting a pool
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfgdir = tmp_path / "cfgs"
+        cfgdir.mkdir()
+        for name in ("one", "two"):
+            (cfgdir / f"{name}.cfg").write_text(
+                "[problem]\ng = u - u^3\ne = 2:0.1\n"
+                "[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\nmodes = 16\n")
+        out = tmp_path / "batch"
+        assert run_cli("run", str(cfgdir), "--jobs", "64", "--out", str(out)) == EXIT_OK
+        assert workers == [2]
+        assert (out / "one" / "curve.csv").exists() and (out / "two" / "curve.csv").exists()
 
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "none"

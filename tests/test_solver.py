@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from harmcont import solver
+from harmcont import expressions, problems, solver
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import (SolverSettings, _Workspace, solution_series,
                              solve_at_signature)
@@ -215,6 +215,27 @@ class TestTracerSeam:
         pt = solve_at_signature(catalog("oscillatory-p512"), 10.0, n_modes=16)
         assert pt.converged and pt.newton_iters >= 1
         assert all(calls.values()), calls
+
+
+    def test_catalog_g_called_through_module_global(self, monkeypatch):
+        # bench/tracing.py wraps every problems._g_* in a plain function and
+        # compile_expression's two callables; the wrapper is what a catalog
+        # problem calls, and the descriptor is not read off g
+        calls = [0]
+        original = problems._g_oscillatory
+        descriptor = catalog("oscillatory-p512").nonlinearity.descriptor
+
+        def counting(u):
+            calls[0] += 1
+            return original(u)
+
+        monkeypatch.setattr(problems, "_g_oscillatory", counting)
+        p = catalog("oscillatory-p512")
+        assert p.nonlinearity.descriptor == descriptor
+        pt = solve_at_signature(p, 10.0, n_modes=16)
+        assert pt.converged and calls[0] > 0
+        g, gp = expressions.compile_expression("pi^2*u + sin(u)")
+        assert callable(g) and callable(gp)
 
 
 class TestTangent:
