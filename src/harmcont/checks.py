@@ -43,8 +43,7 @@ def _row(suite, name, passed, detail):
 
 def linear_suite() -> list[CheckRow]:
     """For g == 0 the curve is exactly mu = -lambda_1 xi with U = 0."""
-    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    nl = problems.Nonlinearity(g=zero, g_prime=zero, descriptor="0")
+    nl = problems.Nonlinearity.from_expression("0")
     p = problems.ProblemSpec(L=1.0, k=1, e=spectral.SineSeries.zero(1.0, 4),
                              nonlinearity=nl)
     rng = np.random.default_rng(7)

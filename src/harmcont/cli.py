@@ -2,7 +2,9 @@
 
 hc run <catalog-name | config-file | config-dir> [flags]
     writes curve.csv, analysis.txt, curve.svg and (for problems with a known
-    asymptotic formula) asymptote.csv into the output directory.
+    asymptotic formula) asymptote.csv into the output directory.  Each run
+    flag's dest is the RunSettings field it overrides (--step is xi_step,
+    --tol newton_tol), the name a config's [run] key has too.
 
 hc verify <linear | oracle | asymptotics | invariants | all>
     runs the named check suite and prints a PASS/FAIL table.
@@ -21,7 +23,7 @@ import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,19 +196,6 @@ def _out_root() -> Path:
     return Path(os.environ.get("HC_OUT_DIR", "."))
 
 
-def _overrides_from_args(args) -> dict:
-    over = {}
-    for key, attr in (("xi_min", "xi_min"), ("xi_max", "xi_max"),
-                      ("xi_step", "step"), ("modes", "modes"),
-                      ("newton_tol", "tol"), ("max_iter", "max_iter")):
-        value = getattr(args, attr)
-        if value is not None:
-            over[key] = value
-    if args.mu_star:
-        over["mu_star"] = tuple(args.mu_star)
-    return over
-
-
 def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     """Run a single catalog problem or config file; returns an exit code."""
     path = Path(target)
@@ -215,6 +204,7 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
         spec, settings = load_config(path)
         name = path.stem
     else:
+        target = target.strip()
         spec = catalog(target)  # KeyError for unknown names
         name = target.replace("(", "_").replace(")", "").replace("*", "x")
         name = re.sub(r"[^A-Za-z0-9._-]", "_", name)  # one path component
@@ -270,7 +260,9 @@ def _run_one_job(target: str, overrides: dict, out_dir: str | None) -> int:
 def cmd_run(args) -> int:
     target = args.target
     path = Path(target)
-    overrides = _overrides_from_args(args)
+    # each flag's dest is its RunSettings field; None is a flag not given
+    overrides = {f.name: type(f.default)(value) for f in fields(RunSettings)
+                 if (value := getattr(args, f.name)) is not None}
     if path.is_dir():
         configs = sorted(p for p in path.iterdir()
                          if p.suffix.lower() in (".cfg", ".ini", ".conf"))
@@ -324,11 +316,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           % ", ".join(CATALOG_NAMES))
     run.add_argument("--xi-min", type=float, default=None)
     run.add_argument("--xi-max", type=float, default=None)
-    run.add_argument("--step", type=float, default=None)
+    run.add_argument("--step", type=float, default=None, dest="xi_step", metavar="STEP")
     run.add_argument("--modes", type=int, default=None)
-    run.add_argument("--tol", type=float, default=None)
+    run.add_argument("--tol", type=float, default=None, dest="newton_tol", metavar="TOL")
     run.add_argument("--max-iter", type=int, default=None)
-    run.add_argument("--mu-star", type=float, action="append", default=[],
+    run.add_argument("--mu-star", type=float, action="append", default=None,
                      help="report solution count at this mu level (repeatable)")
     run.add_argument("--out", default=None,
                      help="output directory (default $HC_OUT_DIR/<name>)")

@@ -32,6 +32,8 @@ MAX_PREDICTOR_STEP = 0.02
 
 def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     """Marching nodes xi_min, xi_min + step, ... (last node <= xi_max + tiny)."""
+    if not np.all(np.isfinite((xi_min, xi_max, step))):
+        raise ValueError(f"xi range [{xi_min}, {xi_max}] and step {step} must be finite")
     if not xi_min < xi_max:
         raise ValueError(f"empty range [{xi_min}, {xi_max}]")
     if step <= 0:

@@ -60,8 +60,10 @@ def _tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
+            pos = len(text) - len(rest)  # the first character that is not blank
             raise ExpressionError(
                 f"unexpected character {text[pos]!r} at position {pos} in {text!r}"
             )

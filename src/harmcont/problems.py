@@ -2,17 +2,20 @@
 
 A problem is u'' + g(u) = mu_k sin(k pi x/L) + e(x) on (0, L) with Dirichlet
 ends, where e is orthogonal to the driven harmonic.  mu_k is a solver output,
-never a field.  Every g is text compiled once by expressions.Expression:
-a config's g is its expression, and each catalog entry's g is the text in
-the catalog table, which is also its descriptor.  Every g' is
-expressions.complex_step of its g.
+never a field.  A Nonlinearity is made from g alone: its g' is
+expressions.complex_step of g, checked against finite differences when it
+is made, so g must take complex u.  Every g is text compiled once by
+expressions.Expression: a config's g is its expression, and each catalog
+entry's g is its text in the one catalog table, which is also its
+descriptor.  A config's [run] keys are the fields of RunSettings, the
+names the CLI overrides them by.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -29,18 +32,22 @@ CONDITION_SAMPLES = 10_000  # points of u_range that validate_conditions samples
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Scalar nonlinearity g with derivative; both vectorized over numpy arrays."""
+    """Scalar nonlinearity g, vectorized over numpy arrays and complex u.
+
+    g_prime is the complex step of g, checked by check_derivative here.
+    """
 
     g: callable
-    g_prime: callable
     descriptor: str = ""
+    g_prime: callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "g_prime", partial(expressions.complex_step, self.g))
+        check_derivative(self)
 
     @classmethod
     def from_expression(cls, text: str) -> "Nonlinearity":
-        g, gp = expressions.compile_expression(text)
-        nl = cls(g=g, g_prime=gp, descriptor=text.strip())
-        check_derivative(nl)
-        return nl
+        return cls(expressions.compile_expression(text)[0], text.strip())
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class ProblemSpec:
 
 
 def check_derivative(nl: Nonlinearity) -> float:
-    """Verify g_prime against centered differences of g at random sample points.
+    """Verify g' against centered differences of g at random sample points.
 
     Returns the worst relative error; raises if it exceeds DERIVATIVE_RTOL.
     Samples where g fails to evaluate finitely are skipped (the solver would
@@ -92,30 +99,30 @@ def check_derivative(nl: Nonlinearity) -> float:
     return err
 
 
-# --- catalog nonlinearities ------------------------------------------------
-# Each fixed entry's g is compiled from its text here, and the text is also
-# its descriptor.  The compiled g are module attributes, read by catalog() at
-# call time, so a wrapper set on the module is what a problem gets.
+# --- catalog ---------------------------------------------------------------
+# name -> (g text, k, forcing pairs).  The text is also the descriptor; the
+# cubic's is formatted with its lambda per call.  Each fixed entry's g is
+# compiled once into a module attribute (_g_resonance_k7 for resonance-k7),
+# which catalog() reads at call time, so a wrapper set on the module is what
+# a problem gets.
 
-_CATALOG_TEXT = {
-    "amann-hess-type": "cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
-    "oscillatory-p512": "pi^2*u + 5*(u^2+1)^(5/12)*sin(u)",
-    "resonance-k7": "49*pi^2*u + sin(u)",
-    "resonant-bounded": "pi^2*u + u/(1+u^2)",
+_CATALOG = {
+    "amann-hess-type": ("cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
+                        1, [(2, 1.0), (5, -2.0)]),
+    "oscillatory-p512": ("pi^2*u + 5*(u^2+1)^(5/12)*sin(u)", 1, [(2, 0.2)]),
+    "resonance-k7": ("49*pi^2*u + sin(u)", 7, [(3, 1.0), (4, -2.0)]),
+    "cubic": ("{!r}*u - u^3", 1, [(2, 0.3)]),
+    "resonant-bounded": ("pi^2*u + u/(1+u^2)", 1, [(2, 0.2)]),
 }
+CATALOG_NAMES = tuple(_CATALOG)
 
-_g_amann_hess = expressions.Expression(_CATALOG_TEXT["amann-hess-type"])
-_g_oscillatory = expressions.Expression(_CATALOG_TEXT["oscillatory-p512"])
-_g_resonance_k7 = expressions.Expression(_CATALOG_TEXT["resonance-k7"])
-_g_resonant_bounded = expressions.Expression(_CATALOG_TEXT["resonant-bounded"])
 
-CATALOG_NAMES = (
-    "amann-hess-type",
-    "oscillatory-p512",
-    "resonance-k7",
-    "cubic",
-    "resonant-bounded",
-)
+def _module_attr(name: str) -> str:
+    return "_g_" + name.replace("-", "_")
+
+
+globals().update({_module_attr(name): expressions.Expression(text)
+                  for name, (text, _, _) in _CATALOG.items() if name != "cubic"})
 
 DEFAULT_CUBIC_LAMBDA = np.pi ** 2 / 2
 
@@ -143,35 +150,26 @@ def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
     lambda, e.g. "cubic(pi^2/2)" (ConfigError for one in u, one that does not
     parse or one that is not finite); plain "cubic" uses lambda = pi^2/2.
     Every entry's forcing may be overridden by e; ProblemSpec rejects one
-    with a coefficient on the driven harmonic.  g' is the complex step of g.
-    An unknown name raises KeyError.
+    with a coefficient on the driven harmonic.  An unknown name raises
+    KeyError.
     """
     name = name.strip()
-    m = _CUBIC_RE.fullmatch(name)
-    if m:
+    if m := _CUBIC_RE.fullmatch(name):
         arg = m.group("arg")
-        lam = DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == "" else _cubic_lambda(arg)
-        descriptor = f"{lam!r}*u - u^3"
-        g, k, pairs = expressions.Expression(descriptor), 1, [(2, 0.3)]
-    elif name in _CATALOG_TEXT:
-        descriptor = _CATALOG_TEXT[name]
-        # built here, at call time, so it reads the _g_* the module holds now
-        g, k, pairs = {
-            "amann-hess-type": (_g_amann_hess, 1, [(2, 1.0), (5, -2.0)]),
-            "oscillatory-p512": (_g_oscillatory, 1, [(2, 0.2)]),
-            "resonance-k7": (_g_resonance_k7, 7, [(3, 1.0), (4, -2.0)]),
-            "resonant-bounded": (_g_resonant_bounded, 1, [(2, 0.2)]),
-        }[name]
+        text, k, pairs = _CATALOG["cubic"]
+        text = text.format(DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == ""
+                           else _cubic_lambda(arg))
+        g = expressions.Expression(text)
+    elif name in _CATALOG:
+        text, k, pairs = _CATALOG[name]
+        g = globals()[_module_attr(name)]
     else:
         raise KeyError(
             f"unknown catalog problem {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
-    nl = Nonlinearity(g=g, g_prime=partial(expressions.complex_step, g),
-                      descriptor=descriptor)
     if e is None:
         e = SineSeries.from_pairs(1.0, pairs, n_modes=k)
-    check_derivative(nl)
-    return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=nl)
+    return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=Nonlinearity(g, text))
 
 
 @dataclass(frozen=True)
@@ -282,11 +280,13 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     and e, a comma- or whitespace-separated list of mode:coefficient pairs
     with none on mode k.  L must be positive and finite.  g(0)
     must be finite, since u vanishes at both ends.  The optional [run]
-    section carries xi_min, xi_max, xi_step, modes, newton_tol, max_iter,
-    mu_star (comma-separated list); they are parsed here and checked by
-    check_run_settings once the caller has applied its overrides.
+    section sets fields of RunSettings, each cast to the type of its default
+    (mu_star: a comma- or whitespace-separated list); they are parsed here
+    and checked by check_run_settings once the caller has applied its
+    overrides.  A key that neither section knows raises ConfigError, and
+    "#" or ";" after whitespace starts a comment.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -295,6 +295,12 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    run_defaults = {f.name: f.default for f in fields(RunSettings)}
+    for section, known in (("problem", ("g", "k", "L", "e")), ("run", tuple(run_defaults))):
+        for key in cp[section] if cp.has_section(section) else ():
+            if key not in map(str.lower, known):
+                raise ConfigError(f"{path}: unknown [{section}] key {key!r}; "
+                                  f"known keys: {', '.join(known)}")
     if not cp.has_section("problem"):
         raise ConfigError(f"{path}: missing [problem] section")
     prob = cp["problem"]
@@ -317,19 +323,13 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
         raise ConfigError(f"{path}: bad [problem] value: {exc}") from exc
 
     kwargs = {}
-    if cp.has_section("run"):
-        run = cp["run"]
-        try:
-            for key, cast in (("xi_min", float), ("xi_max", float), ("xi_step", float),
-                              ("modes", int), ("newton_tol", float), ("max_iter", int)):
-                if run.get(key) is not None:
-                    kwargs[key] = cast(run.get(key))
-            if run.get("mu_star") is not None:
-                kwargs["mu_star"] = tuple(
-                    float(tok) for tok in re.split(r"[\s,]+", run.get("mu_star").strip()) if tok
-                )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad [run] value: {exc}") from exc
+    try:
+        for key, text in cp["run"].items() if cp.has_section("run") else ():
+            cast = type(run_defaults[key])
+            kwargs[key] = (tuple(float(tok) for tok in re.split(r"[\s,]+", text.strip()) if tok)
+                           if cast is tuple else cast(text))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad [run] value: {exc}") from exc
     return spec, RunSettings(**kwargs)
 
 

@@ -48,6 +48,15 @@ class TestRunCatalog:
         assert asym[0] == "xi,mu_asymptotic"
         assert len(asym) == 4
 
+    def test_padded_name_resolved_once(self, tmp_path, monkeypatch):
+        # the stripped name picks the problem, its asymptote and its directory
+        monkeypatch.setenv("HC_OUT_DIR", str(tmp_path))
+        code = run_cli("run", " resonance-k7 ", "--xi-min", "10", "--xi-max", "11",
+                       "--step", "0.5", "--modes", "32")
+        assert code == EXIT_OK
+        assert [d.name for d in tmp_path.iterdir()] == ["resonance-k7"]
+        assert (tmp_path / "resonance-k7" / "asymptote.csv").exists()
+
     def test_csv_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -303,6 +312,19 @@ class TestExitCodes:
         cfg.write_text(f"[problem]\ng = u\n{problem}\n")
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("[problem]\ng = u\n[run]\nmode = 8\n", "unknown [run] key 'mode'"),
+        ("[problem]\ng = u\n[run]\nxi_stepp = 5\n", "unknown [run] key 'xi_stepp'"),
+        ("[problem]\ng = u\nlambda = 2\n", "unknown [problem] key 'lambda'"),
+    ], ids=["run-mode", "run-xi-stepp", "problem-lambda"])
+    def test_unknown_config_key(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     def test_clashing_stems_rejected(self, tmp_path, capsys):

@@ -12,12 +12,8 @@ from harmcont.spectral import SineSeries
 PI2 = np.pi ** 2
 
 
-def zero_fn(u):
-    return np.zeros_like(np.asarray(u, dtype=float))
-
-
 def linear_spec(n=8):
-    nl = Nonlinearity(g=zero_fn, g_prime=zero_fn, descriptor="0")
+    nl = Nonlinearity.from_expression("0")
     return ProblemSpec(L=1.0, k=1, e=SineSeries.zero(1.0, n), nonlinearity=nl)
 
 
@@ -35,6 +31,14 @@ class TestXiNodes:
             xi_nodes(1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             xi_nodes(0.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("xi_min, xi_max, step", [
+        (0.0, 1.0, np.inf), (0.0, 1.0, np.nan), (0.0, np.inf, 0.1),
+        (-np.inf, 0.0, 0.1), (np.nan, 1.0, 0.1),
+    ])
+    def test_non_finite_inputs(self, xi_min, xi_max, step):
+        with pytest.raises(ValueError, match="finite"):
+            xi_nodes(xi_min, xi_max, step)
 
 
 class TestLinearCurve:
@@ -67,9 +71,7 @@ class TestWarmStartConsistency:
 class TestGaps:
     def test_unsolvable_range_returns_empty_curve(self):
         lam2 = 4 * PI2
-        nl = Nonlinearity(g=lambda u: lam2 * np.asarray(u, dtype=float),
-                          g_prime=lambda u: np.full(np.shape(u), lam2),
-                          descriptor="lambda_2 * u")
+        nl = Nonlinearity(lambda u: lam2 * np.asarray(u), "lambda_2 * u")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 1.0)]),
                         nonlinearity=nl)
         c = follow_curve(p, 0.0, 1.0, 0.5, n_modes=8)

@@ -97,6 +97,12 @@ def test_syntax_errors(text):
         parse(text)
 
 
+def test_unexpected_character_skips_blanks():
+    # the error names the first character it cannot read, not a blank before it
+    with pytest.raises(ExpressionError, match="'#' at position 21"):
+        parse("pi^2*u + sin(u)      # expression in u (required)")
+
+
 @pytest.mark.parametrize("text,dtext", [
     ("u^3", "3*u^2"),
     ("sin(u)", "cos(u)"),

@@ -10,12 +10,8 @@ from harmcont.spectral import SineSeries, eigenvalue
 PI2 = np.pi ** 2
 
 
-def zero_fn(u):
-    return np.zeros_like(np.asarray(u, dtype=float))
-
-
 def linear_spec(e_pairs=(), k=1, n=8):
-    nl = Nonlinearity(g=zero_fn, g_prime=zero_fn, descriptor="0")
+    nl = Nonlinearity.from_expression("0")
     e = SineSeries.from_pairs(1.0, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(1.0, n)
     return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=nl)
 
@@ -40,12 +36,19 @@ class TestShootingLinear:
         assert np.max(np.abs(res.grid_solution - exact)) < 1e-9
 
     def test_reads_no_derivative(self):
-        def no_g_prime(u):
-            raise AssertionError("the oracle evaluated g'")
+        # g' is g at complex u, so an oracle that reads no g' calls g at real u only
         p = catalog("cubic(pi^2/2)")
-        nl = Nonlinearity(g=p.nonlinearity.g, g_prime=no_g_prime, descriptor="cubic")
+        complex_u = []
+
+        def g(u):
+            complex_u.append(np.iscomplexobj(u))
+            return p.nonlinearity.g(u)
+
+        nl = Nonlinearity(g, "cubic")
+        complex_u.clear()  # the derivative check made on construction
         res = shoot(ProblemSpec(L=p.L, k=p.k, e=p.e, nonlinearity=nl), 3.0)
         assert res.converged
+        assert complex_u and not any(complex_u)
 
 
 class TestShootingCrossValidation:
@@ -55,8 +58,8 @@ class TestShootingCrossValidation:
         res = shoot(p, 0.0, n_steps=4000)
         assert res.converged and pt.converged
         u_spec = solution_series(pt, 1).eval(res.nodes)
-        assert np.max(np.abs(u_spec - res.grid_solution)) < 1e-6
-        assert abs(pt.mu - res.mu) < 1e-8
+        assert np.max(np.abs(u_spec - res.grid_solution)) < checks.ORACLE_SUP_TOL
+        assert abs(pt.mu - res.mu) < checks.ORACLE_DMU_TOL
 
     @pytest.mark.parametrize("xi", [-10.0, 10.0])
     def test_cubic_at_edge_from_its_own_start(self, monkeypatch, xi):
@@ -75,7 +78,7 @@ class TestShootingCrossValidation:
                                                checks.ORACLE_MODES[name])
         assert len(calls) == 1
         assert pt.converged and res.converged
-        assert dmu < 1e-8 and sup < 1e-6
+        assert dmu < checks.ORACLE_DMU_TOL and sup < checks.ORACLE_SUP_TOL
 
 
 class TestOscillatoryQuadrature:

@@ -1,11 +1,14 @@
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
+from harmcont.continuation import follow_curve
 from harmcont.problems import (CATALOG_NAMES, DERIVATIVE_RTOL, ConfigError,
-                               Nonlinearity, ProblemSpec, catalog,
+                               Nonlinearity, ProblemSpec, RunSettings, catalog,
                                check_derivative, load_config, validate_conditions)
+from harmcont.solver import SolverSettings, solve_at_signature
 from harmcont.spectral import SineSeries
 
 PI2 = np.pi ** 2
@@ -136,6 +139,15 @@ class TestNonlinearityFromExpression:
     def test_bad_expression(self):
         with pytest.raises(Exception):
             Nonlinearity.from_expression("pi^2*u + qux(u)")
+
+
+def test_run_defaults_match_the_solver_defaults():
+    # each of these defaults is written where it is used as well as in RunSettings
+    run, solver_settings = RunSettings(), SolverSettings()
+    assert (run.newton_tol, run.max_iter) == (solver_settings.newton_tol,
+                                              solver_settings.max_iter)
+    for fn in (follow_curve, solve_at_signature):
+        assert inspect.signature(fn).parameters["n_modes"].default == run.modes
 
 
 class TestConfigFiles:

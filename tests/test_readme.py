@@ -1,9 +1,11 @@
-"""The README's Python Quickstart runs against the current API."""
+"""The README's Python Quickstart and config example run against the current code."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from harmcont.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
@@ -22,3 +24,12 @@ def test_quickstart_block_runs(capsys, index):
         assert out[1] == "2"  # two solutions above the global minimum
     else:
         assert out[1] == "True"  # converged
+
+
+def test_config_example_runs(tmp_path):
+    # the ini block under "Config file format", inline comments included
+    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M)
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(block)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "solutions at mu* = 1.5" in (tmp_path / "out" / "analysis.txt").read_text()

@@ -13,12 +13,8 @@ from harmcont.spectral import SineSeries, l2_norm
 PI2 = np.pi ** 2
 
 
-def zero_fn(u):
-    return np.zeros_like(np.asarray(u, dtype=float))
-
-
 def linear_spec(e_pairs=(), L=1.0, k=1, n=8):
-    nl = Nonlinearity(g=zero_fn, g_prime=zero_fn, descriptor="0")
+    nl = Nonlinearity.from_expression("0")
     e = SineSeries.from_pairs(L, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(L, n)
     return ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
 
@@ -32,17 +28,13 @@ def workspace_residual(p, xi, U):
 def singular_spec():
     # g'(u) == lambda_2 makes the projected linearization exactly singular
     lam2 = 4 * PI2
-    nl = Nonlinearity(g=lambda u: lam2 * np.asarray(u, dtype=float),
-                      g_prime=lambda u: np.full(np.shape(u), lam2),
-                      descriptor="lambda_2 * u")
+    nl = Nonlinearity(lambda u: lam2 * np.asarray(u), "lambda_2 * u")
     return ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 1.0)]),
                        nonlinearity=nl)
 
 
 def stalling_spec():
-    nl = Nonlinearity(g=lambda u: 4 * PI2 * np.asarray(u) + 2 * np.sin(u),
-                      g_prime=lambda u: 4 * PI2 + 2 * np.cos(u),
-                      descriptor="4 pi^2 u + 2 sin u")
+    nl = Nonlinearity(lambda u: 4 * PI2 * np.asarray(u) + 2 * np.sin(u), "4 pi^2 u + 2 sin u")
     return ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
                        nonlinearity=nl)
 
@@ -222,20 +214,46 @@ class TestTracerSeam:
         # compile_expression's two callables; the wrapper is what a catalog
         # problem calls, and the descriptor is not read off g
         calls = [0]
-        original = problems._g_oscillatory
+        original = problems._g_oscillatory_p512
         descriptor = catalog("oscillatory-p512").nonlinearity.descriptor
 
         def counting(u):
             calls[0] += 1
             return original(u)
 
-        monkeypatch.setattr(problems, "_g_oscillatory", counting)
+        monkeypatch.setattr(problems, "_g_oscillatory_p512", counting)
         p = catalog("oscillatory-p512")
         assert p.nonlinearity.descriptor == descriptor
         pt = solve_at_signature(p, 10.0, n_modes=16)
         assert pt.converged and calls[0] > 0
         g, gp = expressions.compile_expression("pi^2*u + sin(u)")
         assert callable(g) and callable(gp)
+
+    def test_config_g_called_through_compile_expression(self, monkeypatch, tmp_path):
+        # bench/tracing.py counts a config's g by wrapping what
+        # expressions.compile_expression returns; that wrapper is what a
+        # load_config problem calls, for g and for its complex-step g'
+        calls = [0]
+        compile_expression = expressions.compile_expression
+
+        def traced_compile(text):
+            g, gp = compile_expression(text)
+
+            def counting(u):
+                calls[0] += 1
+                return g(u)
+
+            return counting, gp
+
+        monkeypatch.setattr(expressions, "compile_expression", traced_compile)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\ng = pi^2*u + sin(u)\ne = 2:0.3\n")
+        spec, _ = problems.load_config(cfg)
+        before = calls[0]
+        spec.nonlinearity.g_prime(0.3)
+        assert calls[0] == before + 1
+        pt = solve_at_signature(spec, 1.0, n_modes=16)
+        assert pt.converged and calls[0] > before + 1
 
 
 class TestTangent:
