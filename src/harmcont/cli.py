@@ -4,7 +4,8 @@ hc run <catalog-name | config-file | config-dir> [flags]
     writes curve.csv, analysis.txt, curve.svg and (for problems with a known
     asymptotic formula) asymptote.csv into the output directory.  Each run
     flag's dest is the RunSettings field it overrides (--step is xi_step,
-    --tol newton_tol), the name a config's [run] key has too.
+    --tol newton_tol), the name a config's [run] key has too.  With the flags
+    applied, each setting is checked before anything is written.
 
 hc verify <linear | oracle | asymptotics | invariants | all>
     runs the named check suite and prints a PASS/FAIL table.
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import checks
 from .asymptotics import for_catalog, mu_asymptotic
-from .continuation import Curve, analyze, count_solutions, follow_curve
-from .problems import (CATALOG_NAMES, ConfigError, RunSettings, catalog,
-                       check_run_settings, load_config)
+from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
+from .problems import (CATALOG_NAMES, ConfigError, ProblemSpec, RunSettings, catalog,
+                       load_config)
 from .solver import SolverSettings
 
 EXIT_OK = 0
@@ -196,6 +197,26 @@ def _out_root() -> Path:
     return Path(os.environ.get("HC_OUT_DIR", "."))
 
 
+def _checked(target: str, spec: ProblemSpec, settings: RunSettings) -> SolverSettings:
+    """The SolverSettings of a run; ConfigError naming target unless it can run.
+
+    xi_nodes checks the xi range and step, SolverSettings the tolerance and
+    iteration count.  Every mu_star must be finite, and the mode count must
+    hold twice the driven harmonic and every forcing mode.
+    """
+    try:
+        xi_nodes(settings.xi_min, settings.xi_max, settings.xi_step)
+        if not np.all(np.isfinite(settings.mu_star)):
+            raise ValueError(f"mu_star must be finite, got {settings.mu_star}")
+        need = max(2 * spec.k, spec.e.n_modes)
+        if settings.modes < need:
+            raise ValueError(f"modes must be at least max(2k, forcing modes) = "
+                             f"{need}, got {settings.modes}")
+        return SolverSettings(newton_tol=settings.newton_tol, max_iter=settings.max_iter)
+    except ValueError as exc:
+        raise ConfigError(f"{target}: {exc}") from exc
+
+
 def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     """Run a single catalog problem or config file; returns an exit code."""
     path = Path(target)
@@ -211,12 +232,7 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
         settings = RunSettings()
         asym = for_catalog(target)
     settings = replace(settings, **overrides)
-    check_run_settings(spec, settings, where=f"{target}: ")
-    try:
-        solver_settings = SolverSettings(newton_tol=settings.newton_tol,
-                                         max_iter=settings.max_iter)
-    except ValueError as exc:
-        raise ConfigError(f"{target}: {exc}") from exc
+    solver_settings = _checked(target, spec, settings)
 
     out = Path(out_dir) if out_dir else (_out_root() / name)
     out.mkdir(parents=True, exist_ok=True)

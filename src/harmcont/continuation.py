@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemSpec
+from .problems import ProblemSpec, RunSettings
 from .solver import SolutionPoint, SolverSettings, _Workspace, solve_at_signature
 from .spectral import SineSeries
 
@@ -31,13 +31,18 @@ MAX_PREDICTOR_STEP = 0.02
 
 
 def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
-    """Marching nodes xi_min, xi_min + step, ... (last node <= xi_max + tiny)."""
-    if not np.all(np.isfinite((xi_min, xi_max, step))):
-        raise ValueError(f"xi range [{xi_min}, {xi_max}] and step {step} must be finite")
+    """Marching nodes xi_min, xi_min + step, ... (last node <= xi_max + tiny).
+
+    ValueError naming the setting for a non-finite input, xi_min >= xi_max
+    or step <= 0.
+    """
+    for name, value in (("xi_min", xi_min), ("xi_max", xi_max), ("xi_step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not xi_min < xi_max:
-        raise ValueError(f"empty range [{xi_min}, {xi_max}]")
+        raise ValueError(f"xi_min must be below xi_max, got [{xi_min}, {xi_max}]")
     if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise ValueError(f"xi_step must be positive, got {step}")
     n = int(np.floor((xi_max - xi_min) / step + 1e-9))
     return xi_min + step * np.arange(n + 1)
 
@@ -66,7 +71,7 @@ class Curve:
 
 def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                  settings: SolverSettings | None = None,
-                 n_modes: int = 64) -> Curve:
+                 n_modes: int = RunSettings.modes) -> Curve:
     """Assemble the solution curve on a uniform xi grid.
 
     Each node gets one direct attempt.  It starts from the secant predictor
@@ -165,9 +170,10 @@ def _parabolic_vertex(x, y):
 def analyze(c: Curve) -> CurveAnalysis:
     """Locate interior extrema, the sampled global minimum, and zero crossings.
 
-    Extrema come from sign changes of centered-difference slopes, refined by
-    the parabola through the three nearest samples; zero crossings from sign
-    changes of mu with linear interpolation.
+    Extrema come from sign changes of centered-difference slopes (signs
+    compared, not multiplied, as in _crossings), refined by the parabola
+    through the three nearest samples; zero crossings from sign changes of
+    mu with linear interpolation.
     """
     if len(c.points) < 3:
         raise ValueError("analysis needs at least 3 converged points")
@@ -178,9 +184,7 @@ def analyze(c: Curve) -> CurveAnalysis:
     extrema = []
     for i in range(len(slopes) - 1):
         s0, s1 = slopes[i], slopes[i + 1]
-        if s0 == 0 and s1 == 0:
-            continue
-        if s0 * s1 < 0 or (s0 != 0 and s1 == 0):
+        if s0 != 0 and np.sign(s0) != np.sign(s1):
             node = i + 1 if abs(s0) <= abs(s1) else i + 2
             xv, yv = _parabolic_vertex(xi[node - 1:node + 2], mu[node - 1:node + 2])
             kind = "min" if s0 < s1 else "max"

@@ -8,7 +8,8 @@ is made, so g must take complex u.  Every g is text compiled once by
 expressions.Expression: a config's g is its expression, and each catalog
 entry's g is its text in the one catalog table, which is also its
 descriptor.  A config's [run] keys are the fields of RunSettings, the
-names the CLI overrides them by.
+names the CLI overrides them by; RunSettings also holds the default of each
+run setting, which the solver and continuation read.
 """
 
 from __future__ import annotations
@@ -281,12 +282,13 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     with none on mode k.  L must be positive and finite.  g(0)
     must be finite, since u vanishes at both ends.  The optional [run]
     section sets fields of RunSettings, each cast to the type of its default
-    (mu_star: a comma- or whitespace-separated list); they are parsed here
-    and checked by check_run_settings once the caller has applied its
-    overrides.  A key that neither section knows raises ConfigError, and
-    "#" or ";" after whitespace starts a comment.
+    (mu_star: a comma- or whitespace-separated list; ConfigError naming the
+    key if the cast fails).  Their rules are checked where they are used,
+    after the caller's overrides.  A key that neither section knows raises
+    ConfigError, "#" or ";" after whitespace starts a comment, and "%" is
+    not interpolated: it is a character like any other.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -323,35 +325,11 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
         raise ConfigError(f"{path}: bad [problem] value: {exc}") from exc
 
     kwargs = {}
-    try:
-        for key, text in cp["run"].items() if cp.has_section("run") else ():
-            cast = type(run_defaults[key])
+    for key, text in cp["run"].items() if cp.has_section("run") else ():
+        cast = type(run_defaults[key])
+        try:
             kwargs[key] = (tuple(float(tok) for tok in re.split(r"[\s,]+", text.strip()) if tok)
                            if cast is tuple else cast(text))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad [run] value: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad [run] value {key} = {text!r}: {exc}") from exc
     return spec, RunSettings(**kwargs)
-
-
-def check_run_settings(spec: ProblemSpec, settings: RunSettings, where: str = "") -> None:
-    """Raise ConfigError unless the [run] settings can be run on spec.
-
-    The xi range must be finite and nonempty, the step finite and positive,
-    every mu_star finite, and the mode count must hold twice the driven
-    harmonic and every forcing mode.
-    """
-    for key in ("xi_min", "xi_max", "xi_step"):
-        value = getattr(settings, key)
-        if not np.isfinite(value):
-            raise ConfigError(f"{where}{key} must be finite, got {value}")
-    if not settings.xi_min < settings.xi_max:
-        raise ConfigError(f"{where}xi_min must be below xi_max, got "
-                          f"[{settings.xi_min}, {settings.xi_max}]")
-    if settings.xi_step <= 0:
-        raise ConfigError(f"{where}xi_step must be positive, got {settings.xi_step}")
-    if not np.all(np.isfinite(settings.mu_star)):
-        raise ConfigError(f"{where}mu_star must be finite, got {settings.mu_star}")
-    need = max(2 * spec.k, spec.e.n_modes)
-    if settings.modes < need:
-        raise ConfigError(f"{where}modes must be at least max(2k, forcing modes) = "
-                          f"{need}, got {settings.modes}")

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .problems import ProblemSpec
+from .problems import ProblemSpec, RunSettings
 from .spectral import (SineSeries, from_grid, l2_norm, multiplication_matrix,
                        to_grid)
 
@@ -49,8 +49,8 @@ THETA = 0.01
 
 @dataclass(frozen=True)
 class SolverSettings:
-    newton_tol: float = 1e-10
-    max_iter: int = 50
+    newton_tol: float = RunSettings.newton_tol
+    max_iter: int = RunSettings.max_iter
 
     def __post_init__(self):
         # NaN fails every comparison; an infinite tolerance would accept any point
@@ -166,7 +166,7 @@ class _Workspace:
 
 def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
                        settings: SolverSettings | None = None,
-                       n_modes: int = 64,
+                       n_modes: int = RunSettings.modes,
                        workspace: _Workspace | None = None) -> SolutionPoint:
     """Damped Newton iteration for the curve point at prescribed xi.
 

@@ -261,25 +261,44 @@ class TestExitCodes:
         assert run_cli("run", str(target), *flags,
                        "--out", str(tmp_path / "out")) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("flags", [
-        ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "0"],
-        ["--step", "nan"], ["--step", "inf"], ["--xi-max", "inf"],
-        ["--mu-star", "nan"], ["--mu-star", "0", "--mu-star", "inf"],
+    @pytest.mark.parametrize("flags, setting", [
+        (["--tol", "-1"], "newton_tol"), (["--tol", "nan"], "newton_tol"),
+        (["--tol", "inf"], "newton_tol"), (["--max-iter", "0"], "max_iter"),
+        (["--step", "nan"], "xi_step"), (["--step", "inf"], "xi_step"),
+        (["--xi-max", "inf"], "xi_max"), (["--mu-star", "nan"], "mu_star"),
+        (["--mu-star", "0", "--mu-star", "inf"], "mu_star"),
     ], ids=["tol-negative", "tol-nan", "tol-inf", "max-iter-0", "step-nan",
             "step-inf", "xi-max-inf", "mu-star-nan", "mu-star-inf"])
-    def test_bad_run_settings(self, tmp_path, flags):
+    def test_bad_run_settings(self, tmp_path, capsys, flags, setting):
         out = tmp_path / "out"
         assert run_cli("run", "cubic(1)", *QUICK, *flags, "--out", str(out)) == EXIT_CONFIG
+        assert setting in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("run", [
-        "xi_min = 2\nxi_max = -2\n", "mu_star = nan, 1\n",
-    ], ids=["empty-range", "mu-star-nan"])
-    def test_bad_config_run_settings(self, tmp_path, run):
+    @pytest.mark.parametrize("run, setting", [
+        ("xi_min = 2\nxi_max = -2\n", "xi_min"), ("mu_star = nan, 1\n", "mu_star"),
+        ("xi_step = 0\n", "xi_step"), ("modes = 1.5\n", "modes = '1.5'"),
+        ("max_iter = ten\n", "max_iter = 'ten'"),
+    ], ids=["empty-range", "mu-star-nan", "step-zero", "modes-not-int",
+            "max-iter-not-int"])
+    def test_bad_config_run_settings(self, tmp_path, capsys, run, setting):
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(f"[problem]\ng = u\n[run]\n{run}")
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[problem]\ng = u % 2\n", "[problem]\ng = u\n[run]\nmu_star = 1%\n",
+        "[problem]\nk = 1\ng = pi^2*u + %(k)s*sin(u)\n",
+    ], ids=["g-modulo", "mu-star-percent", "g-interpolation"])
+    def test_percent_rejected_not_substituted(self, tmp_path, capsys, text):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), *QUICK, "--out", str(out)) == EXIT_CONFIG
+        assert "%" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flags_fix_config_range(self, tmp_path):

@@ -108,11 +108,11 @@ class TestCounting:
             analyze(c)
 
 
-def synthetic_curve(mu):
-    """A curve of converged points at xi = 0, 1, 2, ... with the given mu."""
+def synthetic_curve(mu, step=1.0):
+    """A curve of converged points at xi = 0, step, 2 step, ... with the given mu."""
     U = SineSeries.zero(1.0, 2)
     return Curve(problem=linear_spec(), rows=[
-        SolutionPoint(xi=float(x), mu=m, U=U, residual_norm=0.0, newton_iters=0,
+        SolutionPoint(xi=step * x, mu=m, U=U, residual_norm=0.0, newton_iters=0,
                       converged=True) for x, m in enumerate(mu)])
 
 
@@ -127,6 +127,17 @@ class TestCrossings:
         c = synthetic_curve(mu)
         assert analyze(c).sign_changes == crossings
         assert count_solutions(c, 0.0) == len(crossings)
+
+    def test_extrema_survive_underflow(self):
+        # each product of neighbouring slopes underflows to 0; the signs still change
+        mu = np.array([0, 1, 3, 2.5, 0, -1, -3, -2.5, 0])
+
+        def extrema(scale):
+            an = analyze(synthetic_curve(scale * mu, step=0.1))
+            return [(round(x, 2), kind) for x, _, kind in an.extrema]
+
+        assert extrema(1.0) == [(0.23, "max"), (0.63, "min")]
+        assert extrema(1e-170) == extrema(1.0)
 
 
 class TestCubicShapes:

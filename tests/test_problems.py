@@ -142,7 +142,7 @@ class TestNonlinearityFromExpression:
 
 
 def test_run_defaults_match_the_solver_defaults():
-    # each of these defaults is written where it is used as well as in RunSettings
+    # the solver and continuation read each of these defaults from RunSettings
     run, solver_settings = RunSettings(), SolverSettings()
     assert (run.newton_tol, run.max_iter) == (solver_settings.newton_tol,
                                               solver_settings.max_iter)
