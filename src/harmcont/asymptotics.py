@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectral import SineSeries, eigenvalue
 
@@ -89,6 +88,8 @@ def stationary_phase(f, g, lam: float, a: float, b: float) -> complex:
         raise ValueError(f"empty interval [{a}, {b}]")
     width = b - a
     hd = 1e-6 * width
+    # imported here so that hc run, which never calls this, skips scipy.optimize
+    from scipy.optimize import brentq
     try:
         x0 = brentq(lambda x: (g(x + hd) - g(x - hd)) / (2 * hd),
                     a + hd, b - hd, xtol=1e-12)

@@ -274,6 +274,9 @@ def _run_one_job(target: str, overrides: dict, out_dir: str | None) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     target = args.target
     path = Path(target)
     # each flag's dest is its RunSettings field; None is a flag not given
@@ -296,7 +299,7 @@ def cmd_run(args) -> int:
         outs = [str(root / c.stem) for c in configs]
         # a fork pool starts all its workers at the first submit, so no more
         # than there are configs
-        jobs = min(max(1, args.jobs), len(configs))
+        jobs = min(args.jobs, len(configs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(_run_one_job, [str(c) for c in configs],
                                   [overrides] * len(configs), outs))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_bvp
 
 from .problems import ProblemSpec
 
@@ -46,6 +45,9 @@ def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000) -> OracleResu
     n_steps + 1 uniform nodes; converged only when solve_bvp reports status 0.
     The name stays shoot because bench/tracing.py and bench/workloads.py patch it.
     """
+    # imported here so that hc run, which never calls this, skips scipy.integrate
+    from scipy.integrate import solve_bvp
+
     L, kw = p.L, p.k * np.pi / p.L
     g = p.nonlinearity.g
 
@@ -78,6 +80,9 @@ def oscillatory_quadrature(f, g, lam: float, a: float, b: float,
     then each panel is handed to one complex adaptive Gauss-Kronrod
     quadrature (scipy's quad with complex_func=True).
     """
+    # imported here so that hc run, which never calls this, skips scipy.integrate
+    from scipy.integrate import quad
+
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
     xs = np.linspace(a, b, 4097)

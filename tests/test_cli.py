@@ -267,8 +267,10 @@ class TestExitCodes:
         (["--step", "nan"], "xi_step"), (["--step", "inf"], "xi_step"),
         (["--xi-max", "inf"], "xi_max"), (["--mu-star", "nan"], "mu_star"),
         (["--mu-star", "0", "--mu-star", "inf"], "mu_star"),
+        (["--jobs", "0"], "--jobs"), (["--jobs", "-5"], "--jobs"),
     ], ids=["tol-negative", "tol-nan", "tol-inf", "max-iter-0", "step-nan",
-            "step-inf", "xi-max-inf", "mu-star-nan", "mu-star-inf"])
+            "step-inf", "xi-max-inf", "mu-star-nan", "mu-star-inf", "jobs-0",
+            "jobs-negative"])
     def test_bad_run_settings(self, tmp_path, capsys, flags, setting):
         out = tmp_path / "out"
         assert run_cli("run", "cubic(1)", *QUICK, *flags, "--out", str(out)) == EXIT_CONFIG
