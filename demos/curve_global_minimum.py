@@ -7,16 +7,12 @@ mu_1(xi_1) still rises to +infinity on both ends, so its interior global
 minimum mu_0 splits the forcing axis into no-solution, tangent, and
 multiple-solution regimes.
 
-Run:  python demos/curve_global_minimum.py  (writes out/amann-hess-type/)
+Run:  python demos/curve_global_minimum.py
+The curve files in out/amann-hess-type/ come from
+      hc run amann-hess-type --xi-min -40 --xi-max 40 --step 0.1 --mu-star 0 --out out/amann-hess-type
 """
 
-from pathlib import Path
-
 from harmcont import analyze, catalog, count_solutions, follow_curve, validate_conditions
-from harmcont.cli import write_curve_csv, write_svg
-
-out = Path("out/amann-hess-type")
-out.mkdir(parents=True, exist_ok=True)
 
 problem = catalog("amann-hess-type")
 print(validate_conditions(problem, (-50.0, 50.0)).summary())
@@ -30,7 +26,3 @@ for offset in (-1.0, 0.0, 1.0, 5.0):
     level = mu0 + offset
     print(f"solutions at mu_1 = mu_0 + {offset:+.0f}: "
           f"{count_solutions(curve, level)}")
-
-write_curve_csv(out / "curve.csv", curve)
-write_svg(out / "curve.svg", curve, title="amann-hess-type: mu_1(xi_1)")
-print(f"artifacts in {out}/")

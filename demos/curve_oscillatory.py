@@ -6,18 +6,14 @@ stationary-phase prediction: an oscillation with phase xi - pi/4 whose
 amplitude grows like xi^(1/3).  Every value of mu_1 is hit infinitely often
 as xi grows, so the problem has infinitely many solutions for any forcing.
 
-Run:  python demos/curve_oscillatory.py  (writes out/oscillatory-p512/)
+Run:  python demos/curve_oscillatory.py
+The curve files in out/oscillatory-p512/ come from
+      hc run oscillatory-p512 --xi-min 5 --xi-max 60 --step 0.1 --out out/oscillatory-p512
 """
-
-from pathlib import Path
 
 import numpy as np
 
 from harmcont import analyze, catalog, follow_curve, for_catalog, mu_asymptotic
-from harmcont.cli import write_asymptote_csv, write_curve_csv, write_svg
-
-out = Path("out/oscillatory-p512")
-out.mkdir(parents=True, exist_ok=True)
 
 problem = catalog("oscillatory-p512")
 curve = follow_curve(problem, 5.0, 60.0, 0.1, n_modes=64)
@@ -38,10 +34,3 @@ crossings = [z for z in report.sign_changes if z > 30]
 offsets = [abs(z - (np.pi / 4 + round((z - np.pi / 4) / np.pi) * np.pi))
            for z in crossings]
 print(f"zero crossings past xi = 30 sit within {max(offsets):.3f} of pi/4 + n pi")
-
-write_curve_csv(out / "curve.csv", curve)
-asym_xy = [(float(x), float(mu_asymptotic(asym, float(x)))) for x in xi]
-write_asymptote_csv(out / "asymptote.csv", asym_xy)
-write_svg(out / "curve.svg", curve, asym_xy,
-          title="oscillatory-p512: computed (solid) vs asymptotic (dashed)")
-print(f"artifacts in {out}/")

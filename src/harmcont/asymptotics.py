@@ -20,22 +20,20 @@ from typing import Callable
 
 import numpy as np
 
+from . import problems
+from .expressions import Expression
 from .spectral import SineSeries, eigenvalue
 
 
 @dataclass(frozen=True)
 class AsymptoticCurve:
-    """The large-xi curve formula with amplitude h; None means h == 1."""
+    """The large-xi curve formula with amplitude h, by default h == 1."""
 
-    h: Callable | None = None
+    h: Callable = Expression("1")
 
 
 def _decay(xi_arr):
     return 2.0 * np.sqrt(2.0 / (np.pi * np.abs(xi_arr)))
-
-
-def _amplitude(a: AsymptoticCurve, xi_arr):
-    return 1.0 if a.h is None else np.asarray(a.h(xi_arr), dtype=float)
 
 
 def mu_asymptotic(a: AsymptoticCurve, xi):
@@ -44,24 +42,24 @@ def mu_asymptotic(a: AsymptoticCurve, xi):
     if np.any(xi_arr == 0.0):
         raise ValueError("the asymptotic formula is singular at xi = 0")
     phase = np.where(xi_arr > 0, xi_arr - np.pi / 4, xi_arr + np.pi / 4)
-    out = _decay(xi_arr) * np.sin(phase) * _amplitude(a, xi_arr)
+    out = _decay(xi_arr) * np.sin(phase) * np.asarray(a.h(xi_arr), dtype=float)
     return out if out.ndim else float(out)
 
 
 def envelope(a: AsymptoticCurve, xi):
     """Oscillation envelope |mu| <= envelope(xi) of the formula."""
     xi_arr = np.asarray(xi, dtype=float)
-    env = _decay(xi_arr) * np.abs(_amplitude(a, xi_arr))
+    env = _decay(xi_arr) * np.abs(np.asarray(a.h(xi_arr), dtype=float))
     return env if env.ndim else float(env)
 
 
 def for_catalog(name: str) -> AsymptoticCurve | None:
-    """Asymptotic curve matching a catalog problem, if any."""
-    if name == "oscillatory-p512":
-        return AsymptoticCurve(h=lambda u: 5.0 * (np.asarray(u) ** 2 + 1) ** (5 / 12))
-    if name == "resonance-k7":
-        return AsymptoticCurve()
-    return None
+    """The closed-form curve of a catalog problem; None if it has none.
+
+    Its amplitude h is the expression the catalog table gives the entry.
+    """
+    h = problems._CATALOG.get(name, (None,) * 4)[3]
+    return None if h is None else AsymptoticCurve(h=Expression(h))
 
 
 def _second_derivative(fn, x, h):

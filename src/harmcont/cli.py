@@ -34,7 +34,7 @@ from .asymptotics import for_catalog, mu_asymptotic
 from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
 from .problems import (CATALOG_NAMES, ConfigError, ProblemSpec, RunSettings, catalog,
                        load_config)
-from .solver import SolverSettings
+from .solver import SolverSettings, _Workspace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -200,18 +200,16 @@ def _out_root() -> Path:
 def _checked(target: str, spec: ProblemSpec, settings: RunSettings) -> SolverSettings:
     """The SolverSettings of a run; ConfigError naming target unless it can run.
 
-    xi_nodes checks the xi range and step, SolverSettings the tolerance and
-    iteration count.  Every mu_star must be finite, and the mode count must
-    hold twice the driven harmonic and every forcing mode.
+    Each rule is checked by the code that uses the setting: xi_nodes checks
+    the xi range and step, the solver's workspace the mode count, and
+    SolverSettings the tolerance and iteration count.  Only the rule that
+    every mu_star is finite is this function's own.
     """
     try:
         xi_nodes(settings.xi_min, settings.xi_max, settings.xi_step)
         if not np.all(np.isfinite(settings.mu_star)):
             raise ValueError(f"mu_star must be finite, got {settings.mu_star}")
-        need = max(2 * spec.k, spec.e.n_modes)
-        if settings.modes < need:
-            raise ValueError(f"modes must be at least max(2k, forcing modes) = "
-                             f"{need}, got {settings.modes}")
+        _Workspace(spec, settings.modes)
         return SolverSettings(newton_tol=settings.newton_tol, max_iter=settings.max_iter)
     except ValueError as exc:
         raise ConfigError(f"{target}: {exc}") from exc

@@ -101,14 +101,14 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
             size = np.hypot(last.xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
             if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
                 start = SineSeries(p.L, warm.coeffs + move)
-        pt = solve_at_signature(p, target, start, settings, workspace=ws)
+        pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)
         if not pt.converged and last is not None:
             depth, j, bridge = 1, 1, warm
             while depth <= MAX_HALVINGS:
                 sub = 2 ** depth
                 # last sub-step lands on the node exactly, not within an ulp
                 xi_j = target if j == sub else last.xi + (target - last.xi) * j / sub
-                bp = solve_at_signature(p, xi_j, bridge, settings, workspace=ws)
+                bp = solve_at_signature(p, xi_j, bridge, settings, n_modes=n_modes, workspace=ws)
                 if not bp.converged:
                     depth, j = depth + 1, 2 * j - 1
                 elif j == sub:

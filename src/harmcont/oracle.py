@@ -15,6 +15,7 @@ stationary-phase evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,21 +30,24 @@ BVP_MAX_NODES = 50_000  # solve_bvp stops with status 1 beyond this mesh size
 @dataclass(frozen=True)
 class OracleResult:
     mu: float
-    nodes: np.ndarray
-    grid_solution: np.ndarray
-    converged: bool
+    u: Callable  # x -> u(x), solve_bvp's collocation interpolant
     status: int  # solve_bvp's: 0 converged, 1 max_nodes, 2 singular, 3 boundary tol missed
     newton_iters: int
 
+    @property
+    def converged(self) -> bool:
+        return self.status == 0
 
-def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000) -> OracleResult:
+
+def shoot(p: ProblemSpec, xi_target: float) -> OracleResult:
     """Solve the boundary value problem by collocation, at prescribed harmonic.
 
     u'' = -g(u) + mu phi_k + e and w' = (2/L) u phi_k, with u(0) = u(L) = 0,
     w(0) = 0 and w(L) = xi_target.  The start is the pure harmonic
-    xi phi_k with mu = -lambda_k xi.  The solution is returned sampled on
-    n_steps + 1 uniform nodes; converged only when solve_bvp reports status 0.
-    The name stays shoot because bench/tracing.py and bench/workloads.py patch it.
+    xi phi_k with mu = -lambda_k xi.  The solution u is returned as a
+    callable, which the caller samples where it needs; converged only when
+    solve_bvp reports status 0.  The name stays shoot because
+    bench/tracing.py and bench/workloads.py patch it.
     """
     # imported here so that hc run, which never calls this, skips scipy.integrate
     from scipy.integrate import solve_bvp
@@ -64,11 +68,8 @@ def shoot(p: ProblemSpec, xi_target: float, n_steps: int = 10_000) -> OracleResu
                                x / L - np.sin(2 * kw * x) / (2 * p.k * np.pi)])
     sol = solve_bvp(rhs, bc, x, y, p=[-kw ** 2 * xi_target], tol=BVP_TOL,
                     max_nodes=BVP_MAX_NODES)
-    nodes = np.linspace(0.0, L, n_steps + 1)
-    return OracleResult(
-        mu=float(sol.p[0]), nodes=nodes, grid_solution=sol.sol(nodes)[0],
-        converged=sol.status == 0, status=int(sol.status), newton_iters=int(sol.niter),
-    )
+    return OracleResult(mu=float(sol.p[0]), u=lambda x: sol.sol(x)[0],
+                        status=int(sol.status), newton_iters=int(sol.niter))
 
 
 def oscillatory_quadrature(f, g, lam: float, a: float, b: float,

@@ -101,19 +101,19 @@ def check_derivative(nl: Nonlinearity) -> float:
 
 
 # --- catalog ---------------------------------------------------------------
-# name -> (g text, k, forcing pairs).  The text is also the descriptor; the
-# cubic's is formatted with its lambda per call.  Each fixed entry's g is
+# name -> (g text, k, forcing pairs, h text).  g is also the descriptor; the
+# cubic's is formatted with its lambda per call.  h, if any, is the amplitude of
+# the closed-form curve (asymptotics.for_catalog).  Each fixed entry's g is
 # compiled once into a module attribute (_g_resonance_k7 for resonance-k7),
-# which catalog() reads at call time, so a wrapper set on the module is what
-# a problem gets.
+# which catalog() reads at call time, so a module wrapper is what a problem gets.
 
 _CATALOG = {
     "amann-hess-type": ("cos(u) + u*(pi^2 + (2/pi)*arctan(u) + 0.9*sin(ln(u^2+1)))",
-                        1, [(2, 1.0), (5, -2.0)]),
-    "oscillatory-p512": ("pi^2*u + 5*(u^2+1)^(5/12)*sin(u)", 1, [(2, 0.2)]),
-    "resonance-k7": ("49*pi^2*u + sin(u)", 7, [(3, 1.0), (4, -2.0)]),
-    "cubic": ("{!r}*u - u^3", 1, [(2, 0.3)]),
-    "resonant-bounded": ("pi^2*u + u/(1+u^2)", 1, [(2, 0.2)]),
+                        1, [(2, 1.0), (5, -2.0)], None),
+    "oscillatory-p512": ("pi^2*u + 5*(u^2+1)^(5/12)*sin(u)", 1, [(2, 0.2)], "5*(u^2+1)^(5/12)"),
+    "resonance-k7": ("49*pi^2*u + sin(u)", 7, [(3, 1.0), (4, -2.0)], "1"),
+    "cubic": ("{!r}*u - u^3", 1, [(2, 0.3)], None),
+    "resonant-bounded": ("pi^2*u + u/(1+u^2)", 1, [(2, 0.2)], None),
 }
 CATALOG_NAMES = tuple(_CATALOG)
 
@@ -123,7 +123,7 @@ def _module_attr(name: str) -> str:
 
 
 globals().update({_module_attr(name): expressions.Expression(text)
-                  for name, (text, _, _) in _CATALOG.items() if name != "cubic"})
+                  for name, (text, *_) in _CATALOG.items() if name != "cubic"})
 
 DEFAULT_CUBIC_LAMBDA = np.pi ** 2 / 2
 
@@ -157,12 +157,12 @@ def catalog(name: str, e: SineSeries | None = None) -> ProblemSpec:
     name = name.strip()
     if m := _CUBIC_RE.fullmatch(name):
         arg = m.group("arg")
-        text, k, pairs = _CATALOG["cubic"]
+        text, k, pairs, _ = _CATALOG["cubic"]
         text = text.format(DEFAULT_CUBIC_LAMBDA if arg is None or arg.strip() == ""
                            else _cubic_lambda(arg))
         g = expressions.Expression(text)
     elif name in _CATALOG:
-        text, k, pairs = _CATALOG[name]
+        text, k, pairs, _ = _CATALOG[name]
         g = globals()[_module_attr(name)]
     else:
         raise KeyError(

@@ -79,8 +79,11 @@ class SolutionPoint:
     U: SineSeries
     residual_norm: float
     newton_iters: int
-    converged: bool
     failure: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 def lu_factor(J: np.ndarray):
@@ -103,12 +106,10 @@ class _Workspace:
     """Per-(problem, N) arrays shared by residual and Jacobian assembly."""
 
     def __init__(self, p: ProblemSpec, n_modes: int):
-        if n_modes < p.k:
-            raise ValueError(f"need at least k={p.k} modes, got {n_modes}")
-        if n_modes < p.e.n_modes:
-            raise ValueError(
-                f"forcing has {p.e.n_modes} modes; raise modes above that"
-            )
+        need = max(2 * p.k, p.e.n_modes)
+        if n_modes < need:
+            raise ValueError(f"modes must be at least max(2k, forcing modes) = "
+                             f"{need}, got {n_modes}")
         self.p = p
         self.N = n_modes
         self.M = 4 * n_modes
@@ -170,24 +171,22 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
                        workspace: _Workspace | None = None) -> SolutionPoint:
     """Damped Newton iteration for the curve point at prescribed xi.
 
-    U0 is a warm start orthogonal to the driven harmonic (zero series if
-    omitted); its mode count sets the spectral resolution unless it is None,
-    in which case n_modes is used.  workspace, built for p at that
-    resolution, carries a kept LU in and out; without one the solve starts
+    n_modes alone sets the spectral resolution: the returned point has
+    n_modes modes.  U0 is a warm start orthogonal to the driven harmonic
+    (zero if omitted) with at most n_modes modes; a coarser one is
+    zero-padded, a finer one raises ValueError.  workspace, built for p at
+    n_modes, carries a kept LU in and out; without one the solve starts
     cold.  Non-convergence is reported in the returned point, never raised.
     """
     settings = settings or SolverSettings()
-    if U0 is None:
-        U0 = SineSeries.zero(p.L, n_modes)
-    if p.k <= U0.n_modes and U0.coeffs[p.k - 1] != 0.0:
-        raise ValueError("warm start must have zero coefficient on the driven harmonic")
-    ws = workspace or _Workspace(p, U0.n_modes)
-    if ws.p is not p or ws.N != U0.n_modes:
+    ws = workspace or _Workspace(p, n_modes)
+    if ws.p is not p or ws.N != n_modes:
         raise ValueError("workspace was built for another problem or mode count")
+    U = np.zeros(n_modes) if U0 is None else U0.padded(n_modes)
+    if U[p.k - 1] != 0.0:
+        raise ValueError("warm start must have zero coefficient on the driven harmonic")
     red = ws.reduced
 
-    U = U0.padded(ws.N)
-    U[p.k - 1] = 0.0
     R, mu, u_vals = ws.residual_mu(xi, U)
     rnorm = l2_norm(R, p.L)
     iters = 0
@@ -232,10 +231,9 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
             failure = "line_search_stalled"
             break
 
-    converged = rnorm < settings.newton_tol and failure is None
-    if not converged:
-        failure = failure or "max_iter"
+    if failure is None and not rnorm < settings.newton_tol:
+        failure = "max_iter"
+    if failure is not None:
         ws.factor = None
     return SolutionPoint(xi=float(xi), mu=float(mu), U=SineSeries(p.L, U),
-                         residual_norm=rnorm, newton_iters=iters,
-                         converged=converged, failure=failure)
+                         residual_norm=rnorm, newton_iters=iters, failure=failure)

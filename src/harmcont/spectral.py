@@ -60,15 +60,16 @@ class SineSeries:
 
     @classmethod
     def from_pairs(cls, L: float, pairs, n_modes: int | None = None) -> "SineSeries":
-        """Build from (mode, coefficient) pairs; modes are 1-based."""
+        """Build from (mode, coefficient) pairs; modes are 1-based, each once."""
         pairs = list(pairs)
-        top = max((m for m, _ in pairs), default=1)
-        n = max(n_modes or 0, top, 1)
-        c = np.zeros(n)
+        modes = [m for m, _ in pairs]
+        c = np.zeros(max(n_modes or 0, *modes, 1))
         for m, a in pairs:
             if m < 1 or int(m) != m:
                 raise ValueError(f"mode index must be a positive integer, got {m}")
-            c[int(m) - 1] += a
+            if modes.count(m) > 1:
+                raise ValueError(f"mode {m} is given twice")
+            c[int(m) - 1] = a
         return cls(L, c)
 
     def eval(self, x) -> np.ndarray:

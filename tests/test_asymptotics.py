@@ -64,10 +64,15 @@ class TestCurveFormulas:
         assert np.array_equal(envelope(a, xs), envelope(HK, xs) * 3.0)
 
     def test_catalog_mapping(self):
-        assert for_catalog("resonance-k7").h is None
+        # the amplitude texts of the catalog table, h == 1 for the k-th curve
+        xs = np.array([-30.0, 0.5, 40.0])
+        k7 = for_catalog("resonance-k7")
+        assert np.array_equal(k7.h(xs), np.ones(3))
+        assert np.array_equal(mu_asymptotic(k7, xs), mu_asymptotic(HK, xs))
         h = for_catalog("oscillatory-p512").h
         assert h(40.0) == pytest.approx(5.0 * (40.0 ** 2 + 1) ** (5 / 12), rel=1e-15)
-        assert for_catalog("amann-hess-type") is None
+        for name in ("amann-hess-type", "resonant-bounded", "cubic", "cubic(pi^2)"):
+            assert for_catalog(name) is None
 
 
 def one(x):

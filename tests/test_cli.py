@@ -248,18 +248,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config, flags", [
         (None, ["--modes", "4"]),  # resonance-k7 needs 2k = 14 modes
+        (None, ["--modes", "10"]),  # between k and 2k: the library rejects it too
         ("[problem]\nk = 3\ng = u\n[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\n"
          "modes = 16\n", ["--modes", "2"]),  # the flag is checked, not only the file
         ("[problem]\ng = u\ne = 20:0.1\n[run]\nxi_min = 0\nxi_max = 1\nxi_step = 0.5\n"
          "modes = 16\n", []),  # fewer modes than the forcing
-    ], ids=["catalog-k7", "flag-k3", "forcing-e20"])
-    def test_too_few_modes(self, tmp_path, config, flags):
+    ], ids=["catalog-k7", "catalog-k7-between-k-and-2k", "flag-k3", "forcing-e20"])
+    def test_too_few_modes(self, tmp_path, capsys, config, flags):
         target = "resonance-k7"
         if config is not None:
             target = tmp_path / "problem.cfg"
             target.write_text(config)
         assert run_cli("run", str(target), *flags,
                        "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "modes must be at least max(2k, forcing modes)" in capsys.readouterr().err
+
+    def test_repeated_forcing_mode(self, tmp_path, capsys):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text("[problem]\ng = u\ne = 2:0.5, 2:0.3\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert "mode 2 is given twice" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, setting", [
         (["--tol", "-1"], "newton_tol"), (["--tol", "nan"], "newton_tol"),

@@ -26,7 +26,7 @@ code = cli.main(["run", "amann-hess-type", "--xi-min", "-2", "--xi-max", "2",
                  "--out", sys.argv[1]])
 after_run = lazy()
 sp = stationary_phase(lambda x: 1.0, lambda x: x * x, 100.0, -1.0, 1.0)
-shot = oracle.shoot(catalog("amann-hess-type"), 1.0, n_steps=200)
+shot = oracle.shoot(catalog("amann-hess-type"), 1.0)
 quad = oracle.oscillatory_quadrature(lambda x: 1.0, lambda x: x * x, 100.0, -1.0, 1.0)
 print(json.dumps({"code": code, "after_run": after_run, "after_calls": lazy(),
                   "sp": [sp.real, sp.imag], "quad": [quad.real, quad.imag],

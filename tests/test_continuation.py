@@ -112,8 +112,8 @@ def synthetic_curve(mu, step=1.0):
     """A curve of converged points at xi = 0, step, 2 step, ... with the given mu."""
     U = SineSeries.zero(1.0, 2)
     return Curve(problem=linear_spec(), rows=[
-        SolutionPoint(xi=step * x, mu=m, U=U, residual_norm=0.0, newton_iters=0,
-                      converged=True) for x, m in enumerate(mu)])
+        SolutionPoint(xi=step * x, mu=m, U=U, residual_norm=0.0, newton_iters=0)
+        for x, m in enumerate(mu)])
 
 
 class TestCrossings:
@@ -235,8 +235,8 @@ class TestKeptFactorization:
         kept = follow_curve(p, -10.0, 10.0, 0.1).rows
         solve = continuation.solve_at_signature
 
-        def fresh_solve(*args, workspace):
-            return solve(*args)  # without the curve's workspace: a cold solve
+        def fresh_solve(*args, workspace, **kwargs):
+            return solve(*args, **kwargs)  # without the curve's workspace: a cold solve
 
         monkeypatch.setattr(continuation, "solve_at_signature", fresh_solve)
         fresh = follow_curve(p, -10.0, 10.0, 0.1).rows
@@ -260,7 +260,7 @@ class TestPredictor:
         def failing_solve(p, xi, U0, settings, **kwargs):
             pt = solve(p, xi, U0, settings, **kwargs)
             if (xi == fail_once and not any(c[0] == xi for c in calls)) or xi == fail_always:
-                pt = dataclasses.replace(pt, converged=False, failure="max_iter")
+                pt = dataclasses.replace(pt, failure="max_iter")
             calls.append((float(xi), U0.coeffs.copy(), pt))
             return pt
 

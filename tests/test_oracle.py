@@ -18,22 +18,22 @@ def linear_spec(e_pairs=(), k=1, n=8):
 
 class TestShootingLinear:
     def test_pure_harmonic_closed_form(self):
-        res = shoot(linear_spec(), 1.0, n_steps=2000)
+        res = shoot(linear_spec(), 1.0)
         assert res.converged and res.status == 0
         assert res.mu == pytest.approx(-PI2, abs=1e-8)
-        exact = np.sin(np.pi * res.nodes)
-        assert res.nodes.size == 2001
-        assert np.max(np.abs(res.grid_solution - exact)) < 1e-9
+        x = np.linspace(0.0, 1.0, 2001)
+        assert np.max(np.abs(res.u(x) - np.sin(np.pi * x))) < 1e-9
 
     def test_k9_closed_form(self):
         # u = xi sin(9 pi x) - sin(2 pi x) / (4 pi^2), mu = -lambda_9 xi; the
         # forcing keeps the pure-harmonic start off the solution
         xi = 1.5
-        res = shoot(linear_spec(e_pairs=[(2, 1.0)], k=9, n=9), xi, n_steps=2000)
+        res = shoot(linear_spec(e_pairs=[(2, 1.0)], k=9, n=9), xi)
         assert res.converged
         assert res.mu == pytest.approx(-eigenvalue(9, 1.0) * xi, abs=1e-8)
-        exact = xi * np.sin(9 * np.pi * res.nodes) - np.sin(2 * np.pi * res.nodes) / (4 * PI2)
-        assert np.max(np.abs(res.grid_solution - exact)) < 1e-9
+        x = np.linspace(0.0, 1.0, 2001)
+        exact = xi * np.sin(9 * np.pi * x) - np.sin(2 * np.pi * x) / (4 * PI2)
+        assert np.max(np.abs(res.u(x) - exact)) < 1e-9
 
     def test_reads_no_derivative(self):
         # g' is g at complex u, so an oracle that reads no g' calls g at real u only
@@ -55,10 +55,11 @@ class TestShootingCrossValidation:
     def test_cubic_matches_spectral(self):
         p = catalog("cubic(pi^2/2)")
         pt = solve_at_signature(p, 0.0, n_modes=64)
-        res = shoot(p, 0.0, n_steps=4000)
+        res = shoot(p, 0.0)
         assert res.converged and pt.converged
-        u_spec = solution_series(pt, 1).eval(res.nodes)
-        assert np.max(np.abs(u_spec - res.grid_solution)) < checks.ORACLE_SUP_TOL
+        x = np.linspace(0.0, 1.0, 4001)
+        u_spec = solution_series(pt, 1).eval(x)
+        assert np.max(np.abs(u_spec - res.u(x))) < checks.ORACLE_SUP_TOL
         assert abs(pt.mu - res.mu) < checks.ORACLE_DMU_TOL
 
     @pytest.mark.parametrize("xi", [-10.0, 10.0])

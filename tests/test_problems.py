@@ -191,6 +191,11 @@ mu_star = 0, 1.5
         with pytest.raises(ConfigError, match="orthogonal"):
             load_config(path)
 
+    def test_repeated_forcing_mode_rejected(self, tmp_path):
+        path = self.write(tmp_path, "[problem]\ng = u\ne = 2:0.5, 2:0.5\n")
+        with pytest.raises(ConfigError, match="mode 2"):
+            load_config(path)
+
     def test_missing_g(self, tmp_path):
         with pytest.raises(ConfigError, match="needs g"):
             load_config(self.write(tmp_path, "[problem]\nk = 1\n"))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from harmcont import expressions, problems, solver
+from harmcont.continuation import follow_curve
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import (SolverSettings, _Workspace, solution_series,
                              solve_at_signature)
@@ -269,18 +270,19 @@ class TestTangent:
         p = catalog(name)
         ws = _Workspace(p, n_modes)
         prev = solve_at_signature(p, xi - 0.2, n_modes=n_modes, workspace=ws)
-        last = solve_at_signature(p, xi - 0.1, prev.U, workspace=ws)
+        last = solve_at_signature(p, xi - 0.1, prev.U, n_modes=n_modes, workspace=ws)
         secant = last.U.coeffs + (xi - last.xi) / (last.xi - prev.xi) * (
             last.U.coeffs - prev.U.coeffs)
         lu_calls = counting_lu(monkeypatch)
-        pt = solve_at_signature(p, xi, SineSeries(p.L, secant), workspace=ws)
+        pt = solve_at_signature(p, xi, SineSeries(p.L, secant), n_modes=n_modes,
+                                workspace=ws)
         assert lu_calls[0] == 0 and pt.newton_iters >= 1
         # control: from the plain warm start, the last node's remainder, the
         # same kept LU does not contract.  On the amann-hess-type and
         # resonance-k7 figure ranges (step 0.1) no node was found where the
         # plain start needs a fresh LU, so those cases show only the secant
         if name == "oscillatory-p512":
-            plain = solve_at_signature(p, xi, last.U, workspace=ws)
+            plain = solve_at_signature(p, xi, last.U, n_modes=n_modes, workspace=ws)
             assert plain.converged and lu_calls[0] >= 1
         cold = solve_at_signature(p, xi, n_modes=n_modes)
         assert pt.converged and abs(pt.mu - cold.mu) <= 1e-10
@@ -352,6 +354,31 @@ class TestFactorizationReuse:
         U0 = SineSeries.zero(p.L, 32 if other == "problem" else 64)
         with pytest.raises(ValueError, match="another problem or mode count"):
             solve_at_signature(p, 10.0, U0, workspace=ws)
+
+
+class TestResolution:
+    """n_modes alone sets a solve's resolution; the workspace checks it."""
+
+    @pytest.mark.parametrize("run", [
+        lambda p: follow_curve(p, 10.0, 10.3, 0.1, n_modes=10),
+        lambda p: solve_at_signature(p, 10.0, n_modes=10),
+    ], ids=["follow_curve", "solve_at_signature"])
+    def test_fewer_than_2k_modes_rejected(self, run):
+        # resonance-k7 has k = 7: 10 modes hold the harmonic but not 2k
+        with pytest.raises(ValueError, match=r"modes must be at least .* = 14, got 10"):
+            run(catalog("resonance-k7"))
+
+    def test_coarse_warm_start_padded(self):
+        p = catalog("oscillatory-p512")
+        pt = solve_at_signature(p, 3.0, SineSeries.zero(1.0, 16), n_modes=64)
+        assert pt.U.n_modes == 64
+        cold = solve_at_signature(p, 3.0, n_modes=64)
+        assert pt.mu == cold.mu and np.array_equal(pt.U.coeffs, cold.U.coeffs)
+
+    def test_fine_warm_start_rejected(self):
+        p = catalog("oscillatory-p512")
+        with pytest.raises(ValueError, match="cannot shrink a 96-mode series to 64"):
+            solve_at_signature(p, 3.0, SineSeries.zero(1.0, 96), n_modes=64)
 
 
 JACOBIAN_CHECK_DIRECTIONS = 5  # random directions jacobian_check probes

@@ -206,3 +206,9 @@ class TestSineSeriesValidation:
         s = SineSeries.from_pairs(1.0, [(2, 0.2), (5, -1.0)], n_modes=7)
         assert s.n_modes == 7
         assert s.coeffs[1] == 0.2 and s.coeffs[4] == -1.0
+
+    @pytest.mark.parametrize("pairs", [[(2, 0.5), (2, 0.5)], [(3, 1.0), (2, 0.5), (2, -0.3)]])
+    def test_from_pairs_rejects_a_repeated_mode(self, pairs):
+        # not summed: a repeated mode is a slip in the input
+        with pytest.raises(ValueError, match="mode 2 is given twice"):
+            SineSeries.from_pairs(1.0, pairs)
