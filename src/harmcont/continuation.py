@@ -5,11 +5,13 @@ fixed-step marching suffices.  Each node makes one direct attempt, from the
 secant predictor, the line through the last two converged remainders
 extended to the node (Allgower & Georg, Numerical Continuation Methods,
 ch. 2), unless that step is long, and from the plain warm start otherwise;
-a node whose direct attempt fails is bridged with halved sub-steps before
-being recorded as a gap.  Only the branch reachable by warm-started
-marching is followed; when the g' sandwich fails, other branches may exist
-and are not searched for.  A long predictor step could land on one of
-them, which is why it is not taken.
+a node whose direct attempt fails is bridged with halved sub-steps from
+the last converged point before being recorded as a gap, unless the node
+before it is a gap: a bridge from that point has failed already, so a gap
+band costs one failed bridge plus one direct attempt per node.  Only the
+branch reachable by warm-started marching is followed; when the g'
+sandwich fails, other branches may exist and are not searched for.  A long
+predictor step could land on one of them, which is why it is not taken.
 """
 
 from __future__ import annotations
@@ -79,14 +81,19 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     converged points (xi_prev, U_prev) and (xi, U), when there are two and the
     step is at most MAX_PREDICTOR_STEP of the last point's size; otherwise
     from U itself (the zero series at the first node).  If the direct attempt
-    fails, the node is bridged from the last converged point, with plain warm
-    starts, through the dyadic sub-steps xi + (target - xi) j / 2^depth: a
-    converged sub-step is kept and the march goes on from it, a failed
-    sub-step (depth, j) is retried at (depth + 1, 2j - 1).  If depth
-    MAX_HALVINGS fails, the direct attempt is recorded as the node's gap row
-    and marching moves on.  An entirely unsolvable range yields a curve of
-    gap rows only.  All solves of the curve, direct and bridging, share one
-    workspace, which carries a kept LU from each solve to the next.
+    fails and the node before converged, the node is bridged from that
+    point, with plain warm starts, through the dyadic sub-steps
+    xi + (target - xi) j / 2^depth: a converged sub-step is kept and the
+    march goes on from it, a failed sub-step (depth, j) is retried at
+    (depth + 1, 2j - 1).  If depth MAX_HALVINGS fails, the direct attempt is
+    recorded as the node's gap row and marching moves on.  A node after a
+    gap row makes its direct attempt only: a later bridge would start from
+    the same point with the same plain warm start and no kept LU (a failed
+    solve drops it), and its sub-steps would repeat the failed bridge's
+    solves or lie farther from the start.  An entirely unsolvable range
+    yields a curve of gap rows only.  All solves of the curve, direct and
+    bridging, share one workspace, which carries a kept LU from each solve
+    to the next.
     """
     settings = settings or SolverSettings()
     ws = _Workspace(p, n_modes)
@@ -102,7 +109,8 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
             if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
                 start = SineSeries(p.L, warm.coeffs + move)
         pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)
-        if not pt.converged and last is not None:
+        # after a gap row, the bridge from the last converged point has failed
+        if not pt.converged and rows and rows[-1].converged:
             depth, j, bridge = 1, 1, warm
             while depth <= MAX_HALVINGS:
                 sub = 2 ** depth
