@@ -3,7 +3,15 @@ import time
 import pytest
 
 from harmcont.continuation import follow_curve
-from harmcont.problems import catalog
+from harmcont.problems import Nonlinearity, ProblemSpec, catalog
+from harmcont.spectral import SineSeries
+
+
+def linear_spec(e_pairs=(), L=1.0, k=1, n=8):
+    """g == 0 driven at k, forced by the (mode, coefficient) pairs on n modes."""
+    nl = Nonlinearity.from_expression("0")
+    e = SineSeries.from_pairs(L, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(L, n)
+    return ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,8 @@
 import pytest
 
 from harmcont import checks, oracle
-from harmcont.checks import (SUITES, asymptotics_suite, invariants_suite,
-                             linear_suite, oracle_suite, run_suite)
-
-
-def test_linear_suite_all_pass():
-    rows = linear_suite()
-    assert rows and all(r.passed for r in rows)
-
-
-def test_asymptotics_suite_all_pass():
-    rows = asymptotics_suite()
-    assert rows and all(r.passed for r in rows)
+from harmcont.checks import (SUITES, invariants_suite, linear_suite, oracle_suite,
+                             run_suite)
 
 
 def test_invariants_suite_all_pass():

@@ -1,4 +1,5 @@
 import csv
+import re
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -87,7 +88,8 @@ class TestRunCatalog:
         assert run_cli("run", "no-such-problem", "--out", str(tmp_path)) == EXIT_CONFIG
 
 
-GOLDEN = Path(__file__).resolve().parent.parent / "out"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "out"
 
 
 def read_curve(path):
@@ -97,18 +99,35 @@ def read_curve(path):
             [r["converged"] for r in rows])
 
 
+def readme_figure_runs():
+    """(name, flags) of each `hc run <name>` line in the README's Command line
+    block whose out/<name>/curve.csv is committed, with any --out dropped."""
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", text, re.S | re.M)
+    runs = []
+    for line in block.splitlines():
+        words = line.split("#")[0].split()
+        if words[:2] != ["hc", "run"] or not (GOLDEN / words[2] / "curve.csv").is_file():
+            continue
+        flags = words[3:]
+        if "--out" in flags:
+            i = flags.index("--out")
+            del flags[i:i + 2]
+        runs.append((words[2], flags))
+    return runs
+
+
 class TestGoldenCurves:
-    # the committed figure curves, rerun with the README flags; a reordered
+    # the committed figure curves, rerun with the README commands; a reordered
     # floating-point sum moves mu by roundoff, so mu is held to newton_tol
     # rather than to byte equality
-    @pytest.mark.parametrize("name,flags", [
-        ("oscillatory-p512", ["--xi-min", "5", "--xi-max", "60"]),
-        ("resonance-k7", ["--xi-min", "10", "--xi-max", "60", "--modes", "128"]),
-        ("amann-hess-type", ["--xi-min", "-40", "--xi-max", "40", "--mu-star", "0"]),
-    ])
+    def test_readme_runs_every_committed_curve(self):
+        committed = {d.name for d in GOLDEN.iterdir() if (d / "curve.csv").is_file()}
+        assert sorted(name for name, _ in readme_figure_runs()) == sorted(committed)
+
+    @pytest.mark.parametrize("name,flags", readme_figure_runs())
     def test_reproduces_committed_curve(self, tmp_path, name, flags):
-        assert run_cli("run", name, *flags, "--step", "0.1",
-                       "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("run", name, *flags, "--out", str(tmp_path)) == EXIT_OK
         xi, mu, converged = read_curve(tmp_path / "curve.csv")
         xi0, mu0, converged0 = read_curve(GOLDEN / name / "curve.csv")
         assert xi == xi0

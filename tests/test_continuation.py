@@ -9,12 +9,9 @@ from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import SolutionPoint, SolverSettings
 from harmcont.spectral import SineSeries
 
+from conftest import linear_spec
+
 PI2 = np.pi ** 2
-
-
-def linear_spec(n=8):
-    nl = Nonlinearity.from_expression("0")
-    return ProblemSpec(L=1.0, k=1, e=SineSeries.zero(1.0, n), nonlinearity=nl)
 
 
 class TestXiNodes:
@@ -56,16 +53,6 @@ class TestLinearCurve:
         assert count_solutions(c, 0.0) == 1
         assert count_solutions(c, 5.0) == 1
         assert count_solutions(c, 1e6) == 0
-
-
-class TestWarmStartConsistency:
-    def test_half_step_reproduces_mu(self):
-        p = catalog("oscillatory-p512")
-        coarse = follow_curve(p, 5.0, 9.0, 0.2, n_modes=64)
-        fine = follow_curve(p, 5.0, 9.0, 0.1, n_modes=64)
-        fine_mu = {round(pt.xi, 9): pt.mu for pt in fine.points}
-        worst = max(abs(pt.mu - fine_mu[round(pt.xi, 9)]) for pt in coarse.points)
-        assert worst < 1e-8
 
 
 class TestGaps:
@@ -138,32 +125,6 @@ class TestCrossings:
 
         assert extrema(1.0) == [(0.23, "max"), (0.63, "min")]
         assert extrema(1e-170) == extrema(1.0)
-
-
-class TestCubicShapes:
-    def test_low_lambda_monotone(self):
-        p = catalog("cubic(pi^2/2)")
-        c = follow_curve(p, -3.0, 3.0, 0.25, n_modes=32)
-        assert not c.gaps
-        assert np.all(np.diff(c.mu()) < 0)
-
-    def test_high_lambda_two_turns(self):
-        p = catalog("cubic(2.5*pi^2)",
-                    e=SineSeries.from_pairs(1.0, [(2, 0.05)]))
-        c = follow_curve(p, -3.0, 3.0, 0.1, n_modes=32)
-        an = analyze(c)
-        kinds = [kind for _, _, kind in an.extrema]
-        assert len(an.extrema) >= 2
-        assert "min" in kinds and "max" in kinds
-
-
-class TestResonantBounded:
-    def test_sign_change(self):
-        p = catalog("resonant-bounded")
-        c = follow_curve(p, -30.0, 30.0, 0.5, n_modes=32)
-        mu = c.mu()
-        assert mu[-1] > 0 and mu[0] < 0
-        assert len(analyze(c).sign_changes) >= 1
 
 
 class TestBridge:

@@ -5,15 +5,11 @@ from harmcont import checks, oracle
 from harmcont.oracle import oscillatory_quadrature, shoot
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import solution_series, solve_at_signature
-from harmcont.spectral import SineSeries, eigenvalue
+from harmcont.spectral import eigenvalue
+
+from conftest import linear_spec
 
 PI2 = np.pi ** 2
-
-
-def linear_spec(e_pairs=(), k=1, n=8):
-    nl = Nonlinearity.from_expression("0")
-    e = SineSeries.from_pairs(1.0, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(1.0, n)
-    return ProblemSpec(L=1.0, k=k, e=e, nonlinearity=nl)
 
 
 class TestShootingLinear:

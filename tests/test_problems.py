@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from harmcont.continuation import follow_curve
-from harmcont.problems import (CATALOG_NAMES, DERIVATIVE_RTOL, ConfigError,
-                               Nonlinearity, ProblemSpec, RunSettings, catalog,
-                               check_derivative, load_config, validate_conditions)
+from harmcont.problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
+                               RunSettings, catalog, load_config, validate_conditions)
 from harmcont.solver import SolverSettings, solve_at_signature
 from harmcont.spectral import SineSeries
 
@@ -49,12 +48,6 @@ class TestCatalog:
     def test_forcing_orthogonal_to_driven_harmonic(self, name):
         p = catalog(name)
         assert p.e.coeffs[p.k - 1] == 0.0
-
-    @pytest.mark.parametrize("name", ALL_ENTRIES)
-    def test_derivative_consistency(self, name):
-        # centered differences at 100 random points in [-50, 50]
-        err = check_derivative(catalog(name).nonlinearity)
-        assert err < DERIVATIVE_RTOL
 
     @pytest.mark.parametrize("name", ALL_ENTRIES)
     def test_pickle_round_trip(self, name):

@@ -11,13 +11,9 @@ from harmcont.solver import (SolverSettings, _Workspace, solution_series,
                              solve_at_signature)
 from harmcont.spectral import SineSeries, l2_norm
 
+from conftest import linear_spec
+
 PI2 = np.pi ** 2
-
-
-def linear_spec(e_pairs=(), L=1.0, k=1, n=8):
-    nl = Nonlinearity.from_expression("0")
-    e = SineSeries.from_pairs(L, e_pairs, n_modes=n) if e_pairs else SineSeries.zero(L, n)
-    return ProblemSpec(L=L, k=k, e=e, nonlinearity=nl)
 
 
 def workspace_residual(p, xi, U):
