@@ -12,7 +12,7 @@ from .asymptotics import (AsymptoticCurve, envelope, for_catalog, mu_asymptotic,
                           stationary_phase, universal_profile)
 from .continuation import (Curve, CurveAnalysis, analyze, count_solutions,
                            follow_curve, xi_nodes)
-from .oracle import OracleResult, oscillatory_quadrature, shoot
+from .oracle import OracleResult, shoot
 from .problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
                        RunSettings, catalog, load_config, validate_conditions)
 from .solver import (SolutionPoint, SolverSettings, solution_series,
@@ -26,8 +26,7 @@ __all__ = [
     "Nonlinearity", "OracleResult", "ProblemSpec", "RunSettings",
     "SineSeries", "SolutionPoint", "SolverSettings", "analyze", "catalog",
     "count_solutions", "eigenvalue", "envelope", "follow_curve",
-    "for_catalog", "from_grid", "load_config", "mu_asymptotic",
-    "oscillatory_quadrature", "shoot", "solution_series",
-    "solve_at_signature", "stationary_phase", "to_grid", "universal_profile",
-    "validate_conditions", "xi_nodes",
+    "for_catalog", "from_grid", "load_config", "mu_asymptotic", "shoot",
+    "solution_series", "solve_at_signature", "stationary_phase", "to_grid",
+    "universal_profile", "validate_conditions", "xi_nodes",
 ]

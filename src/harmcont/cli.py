@@ -98,8 +98,6 @@ def write_analysis_txt(path: Path, curve: Curve, mu_stars) -> None:
 
 def _ticks(lo: float, hi: float):
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / (N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -284,8 +284,9 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     section sets fields of RunSettings, each cast to the type of its default
     (mu_star: a comma- or whitespace-separated list; ConfigError naming the
     key if the cast fails).  Their rules are checked where they are used,
-    after the caller's overrides.  A key that neither section knows raises
-    ConfigError, "#" or ";" after whitespace starts a comment, and "%" is
+    after the caller's overrides.  Any other section, or a key that its
+    section does not know, raises ConfigError (section names are
+    case-sensitive), "#" or ";" after whitespace starts a comment, and "%" is
     not interpolated: it is a character like any other.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -298,11 +299,15 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     run_defaults = {f.name: f.default for f in fields(RunSettings)}
-    for section, known in (("problem", ("g", "k", "L", "e")), ("run", tuple(run_defaults))):
-        for key in cp[section] if cp.has_section(section) else ():
-            if key not in map(str.lower, known):
+    sections = {"problem": ("g", "k", "L", "e"), "run": tuple(run_defaults)}
+    for section in cp.sections():
+        if section not in sections:
+            raise ConfigError(f"{path}: unknown section [{section}]; known sections: "
+                              f"{', '.join(f'[{name}]' for name in sections)}")
+        for key in cp[section]:
+            if key not in map(str.lower, sections[section]):
                 raise ConfigError(f"{path}: unknown [{section}] key {key!r}; "
-                                  f"known keys: {', '.join(known)}")
+                                  f"known keys: {', '.join(sections[section])}")
     if not cp.has_section("problem"):
         raise ConfigError(f"{path}: missing [problem] section")
     prob = cp["problem"]

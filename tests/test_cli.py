@@ -8,7 +8,7 @@ import pytest
 
 from harmcont import checks, cli
 from harmcont.checks import CheckRow
-from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_OK,
+from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_INTERNAL, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
 
 QUICK = ["--xi-min", "0", "--xi-max", "2", "--step", "0.5", "--modes", "16"]
@@ -259,8 +259,30 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().splitlines()[:-1]  # not the total
         assert len({len(line.split("\t")[1]) for line in lines}) == 1
 
+    def test_all_runs_each_suite_in_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "SUITES", {
+            "first": lambda: [CheckRow("first", "a", True, "x")],
+            "second": lambda: [CheckRow("second", "b", True, "y"),
+                               CheckRow("second", "c", False, "z")],
+        })
+        assert [r.name for r in checks.run_suite("all")] == ["a", "b", "c"]
+        assert run_cli("verify", "all") == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split("\t")[1].rstrip() for line in lines] == [
+            "first/a", "second/b", "second/c", "total"]
+        assert lines[-1] == "FAIL\ttotal\t2/3 checks passed"
+
 
 class TestExitCodes:
+    def test_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no curve")
+
+        monkeypatch.setattr(cli, "follow_curve", broken)
+        out = tmp_path / "out"
+        assert run_cli("run", "cubic(1)", *QUICK, "--out", str(out)) == EXIT_INTERNAL
+        assert "internal error: no curve" in capsys.readouterr().err
+
     def test_bad_range_flags(self, tmp_path):
         assert run_cli("run", "cubic(1)", "--xi-min", "2", "--xi-max", "-2",
                        "--out", str(tmp_path)) == EXIT_CONFIG
@@ -368,7 +390,10 @@ class TestExitCodes:
         ("[problem]\ng = u\n[run]\nmode = 8\n", "unknown [run] key 'mode'"),
         ("[problem]\ng = u\n[run]\nxi_stepp = 5\n", "unknown [run] key 'xi_stepp'"),
         ("[problem]\ng = u\nlambda = 2\n", "unknown [problem] key 'lambda'"),
-    ], ids=["run-mode", "run-xi-stepp", "problem-lambda"])
+        ("[problem]\ng = u\n[Run]\nxi_min = -1\nxi_max = 1\nmodes = 8\n",
+         "unknown section [Run]; known sections: [problem], [run]"),
+        ("[problem]\ng = u\n[runn]\nmodes = 8\n", "unknown section [runn]"),
+    ], ids=["run-mode", "run-xi-stepp", "problem-lambda", "section-Run", "section-runn"])
     def test_unknown_config_key(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(text)

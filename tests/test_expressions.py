@@ -31,6 +31,9 @@ def test_precedence_and_associativity():
     assert g_of("-u^2")(3.0) == -9.0
     assert g_of("6/3/2")(0.0) == 1.0
     assert g_of("1-2-3")(0.0) == -4.0
+    assert g_of("+u")(3.0) == 3.0
+    assert g_of("-+u")(3.0) == -3.0
+    assert g_of("2^+1")(0.0) == 2.0
 
 
 def test_functions():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harmcont import checks, oracle
-from harmcont.oracle import oscillatory_quadrature, shoot
+from harmcont.oracle import shoot
 from harmcont.problems import Nonlinearity, ProblemSpec, catalog
 from harmcont.solver import solution_series, solve_at_signature
 from harmcont.spectral import eigenvalue
@@ -76,36 +76,3 @@ class TestShootingCrossValidation:
         assert len(calls) == 1
         assert pt.converged and res.converged
         assert dmu < checks.ORACLE_DMU_TOL and sup < checks.ORACLE_SUP_TOL
-
-
-class TestOscillatoryQuadrature:
-    def test_lambda_zero_unit_integrand(self):
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-        sq = lambda x: np.asarray(x, dtype=float) ** 2
-        assert oscillatory_quadrature(one, sq, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fresnel_self_consistency(self):
-        one = lambda x: 1.0
-        sq = lambda x: x * x
-        loose = oscillatory_quadrature(one, sq, 400.0, -1.0, 1.0, abs_tol=1e-8)
-        tight = oscillatory_quadrature(one, sq, 400.0, -1.0, 1.0, abs_tol=1e-11)
-        assert abs(loose - tight) < 1e-8
-
-    def test_sine_phase_self_consistency(self):
-        f = lambda x: np.sin(np.pi * x)
-        loose = oscillatory_quadrature(f, f, 40.0, 0.0, 1.0, abs_tol=1e-8)
-        tight = oscillatory_quadrature(f, f, 40.0, 0.0, 1.0, abs_tol=1e-11)
-        assert abs(loose - tight) < 1e-8
-
-    def test_linear_phase_closed_form(self):
-        # int_0^1 e^{i lam x} dx = (e^{i lam} - 1) / (i lam)
-        one = lambda x: 1.0
-        ident = lambda x: x
-        lam = 37.0
-        got = oscillatory_quadrature(one, ident, lam, 0.0, 1.0)
-        expected = (np.exp(1j * lam) - 1.0) / (1j * lam)
-        assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            oscillatory_quadrature(lambda x: 1.0, lambda x: x, 1.0, 1.0, 1.0)

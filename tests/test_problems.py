@@ -196,10 +196,14 @@ mu_star = 0, 1.5
     def test_missing_problem_section(self, tmp_path):
         with pytest.raises(ConfigError, match="problem"):
             load_config(self.write(tmp_path, "[run]\nxi_min = 0\n"))
+        # a key before any section header
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config(self.write(tmp_path, "g = u\n[problem]\ng = u\n"))
 
     def test_bad_pair_syntax(self, tmp_path):
-        with pytest.raises(ConfigError, match="forcing entry"):
-            load_config(self.write(tmp_path, "[problem]\ng = u\ne = 2=0.5\n"))
+        for e in ("2=0.5", "2:abc"):  # no colon; a coefficient that is not a float
+            with pytest.raises(ConfigError, match="forcing entry"):
+                load_config(self.write(tmp_path, f"[problem]\ng = u\ne = {e}\n"))
 
     def test_bad_expression_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="expression"):
