@@ -239,8 +239,8 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     write_analysis_txt(out / "analysis.txt", curve, settings.mu_star)
     asym_xy = None
     if asym is not None:
-        asym_xy = [(pt.xi, float(mu_asymptotic(asym, pt.xi)))
-                   for pt in curve.rows if pt.xi != 0.0]
+        xi = np.array([pt.xi for pt in curve.rows if pt.xi != 0.0])
+        asym_xy = list(zip(xi.tolist(), mu_asymptotic(asym, xi).tolist()))
         write_asymptote_csv(out / "asymptote.csv", asym_xy)
     write_svg(out / "curve.svg", curve, asym_xy, title=name)
 

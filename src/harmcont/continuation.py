@@ -1,17 +1,19 @@
 """March the harmonic parameter over a range and analyze the resulting curve.
 
 The k-th harmonic xi is a global graph parameter for the curve, so plain
-fixed-step marching suffices.  Each node makes one direct attempt, from the
-secant predictor, the line through the last two converged remainders
-extended to the node (Allgower & Georg, Numerical Continuation Methods,
-ch. 2), unless that step is long, and from the plain warm start otherwise;
-a node whose direct attempt fails is bridged with halved sub-steps from
-the last converged point before being recorded as a gap, unless the node
-before it is a gap: a bridge from that point has failed already, so a gap
-band costs one failed bridge plus one direct attempt per node.  Only the
-branch reachable by warm-started marching is followed; when the g'
-sandwich fails, other branches may exist and are not searched for.  A long
-predictor step could land on one of them, which is why it is not taken.
+fixed-step marching suffices.  Each node makes one direct attempt from a
+predicted start (Allgower & Georg, Numerical Continuation Methods, ch. 2):
+the parabola through the last three rows, when all three converged,
+extended to the node; otherwise, or when that step is long, the line
+through the last two converged remainders; and the plain warm start when
+that step is long too.  A node whose direct attempt fails is bridged with
+halved sub-steps from the last converged point before being recorded as a
+gap, unless the node before it is a gap: a bridge from that point has
+failed already, so a gap band costs one failed bridge plus one direct
+attempt per node.  Only the branch reachable by warm-started marching is
+followed; when the g' sandwich fails, other branches may exist and are not
+searched for.  A long predictor step could land on one of them, which is
+why it is not taken.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .solver import SolutionPoint, SolverSettings, _Workspace, solve_at_signatur
 from .spectral import SineSeries
 
 MAX_HALVINGS = 6  # deepest bridge sub-step is 1/2^MAX_HALVINGS of a node step
-# Longest secant step, relative to the coefficient norm of u at the last point.
-# The figure curves take steps below 0.003.  On 4 pi^2 u + A sin u over
-# [-10, 10] the steps that jumped to another remainder were above 0.08; with
-# this bound no node leaves the plain branch for A in {1.5, 2, 2.5, 2.6836, 3}.
+# Longest predictor step, three-point or secant, relative to the coefficient
+# norm of u at the last point.  The figure curves take steps below 0.003.  On
+# 4 pi^2 u + A sin u over [-10, 10] the secant steps that jumped to another
+# remainder were above 0.08; with this bound no node leaves the plain branch
+# for A in {1.5, 2, 2.5, 2.6836, 3}, with either predictor.
 MAX_PREDICTOR_STEP = 0.02
 
 
@@ -76,13 +79,18 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                  n_modes: int = RunSettings.modes) -> Curve:
     """Assemble the solution curve on a uniform xi grid.
 
-    Each node gets one direct attempt.  It starts from the secant predictor
+    Each node gets one direct attempt.  When the last three rows converged,
+    at (xi_0, U_0), (xi_1, U_1) and (xi, U), it starts from the quadratic
+    Lagrange extrapolation through them,
+    U + (target - xi) [U_1, U] + (target - xi) (target - xi_1) [U_0, U_1, U]
+    in divided differences, if that step is at most MAX_PREDICTOR_STEP of
+    the last point's size.  Otherwise it starts from the secant predictor
     U + (target - xi) (U - U_prev) / (xi - xi_prev) through the last two
-    converged points (xi_prev, U_prev) and (xi, U), when there are two and the
-    step is at most MAX_PREDICTOR_STEP of the last point's size; otherwise
-    from U itself (the zero series at the first node).  If the direct attempt
-    fails and the node before converged, the node is bridged from that
-    point, with plain warm starts, through the dyadic sub-steps
+    converged points (xi_prev, U_prev) and (xi, U), when there are two and
+    its step is within the same bound, and from U itself otherwise (the zero
+    series at the first node).  If the direct attempt fails and the node
+    before converged, the node is bridged from that point, with plain warm
+    starts, through the dyadic sub-steps
     xi + (target - xi) j / 2^depth: a converged sub-step is kept and the
     march goes on from it, a failed sub-step (depth, j) is retried at
     (depth + 1, 2j - 1).  If depth MAX_HALVINGS fails, the direct attempt is
@@ -104,10 +112,21 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     for target in xi_nodes(xi_min, xi_max, step):
         start = warm
         if prev is not None:
-            move = (target - last.xi) / (last.xi - prev.xi) * (warm.coeffs - prev.U.coeffs)
+            secant = (target - last.xi) / (last.xi - prev.xi) * (warm.coeffs - prev.U.coeffs)
+            moves = [secant]
+            if len(rows) >= 3 and all(pt.converged for pt in rows[-3:]):
+                # Newton form of the parabola through rows[-3:], the last of
+                # which are prev and last: the secant plus a second difference
+                first = rows[-3]
+                second = ((warm.coeffs - prev.U.coeffs) / (last.xi - prev.xi)
+                          - (prev.U.coeffs - first.U.coeffs) / (prev.xi - first.xi)
+                          ) / (last.xi - first.xi)
+                moves = [secant + (target - last.xi) * (target - prev.xi) * second, secant]
             size = np.hypot(last.xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
-            if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
-                start = SineSeries(p.L, warm.coeffs + move)
+            for move in moves:
+                if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
+                    start = SineSeries(p.L, warm.coeffs + move)
+                    break
         pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)
         # after a gap row, the bridge from the last converged point has failed
         if not pt.converged and rows and rows[-1].converged:

@@ -284,12 +284,15 @@ def load_config(path) -> tuple[ProblemSpec, RunSettings]:
     section sets fields of RunSettings, each cast to the type of its default
     (mu_star: a comma- or whitespace-separated list; ConfigError naming the
     key if the cast fails).  Their rules are checked where they are used,
-    after the caller's overrides.  Any other section, or a key that its
-    section does not know, raises ConfigError (section names are
-    case-sensitive), "#" or ";" after whitespace starts a comment, and "%" is
-    not interpolated: it is a character like any other.
+    after the caller's overrides.  Any other section ([DEFAULT] too), or a
+    key that its section does not know, raises ConfigError (section names
+    are case-sensitive), "#" or ";" after whitespace starts a comment, and
+    "%" is not interpolated: it is a character like any other.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an unknown section
+    # like any other, not one whose keys every section inherits
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                   default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh)

@@ -9,17 +9,20 @@ on plain coefficient arrays; a SineSeries is built only for the returned
 point.
 
 A solve given a workspace that keeps the LU of an earlier Jacobian first
-takes chord steps on it: the full step -LU^-1 R of simplified Newton
-(Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 2.1), each
-kept only when it cuts the residual norm to at most THETA of its value.
-The first chord step that does not is discarded, and the solve goes on from
-the same iterate as it would without a kept LU: damped Newton with a fresh
-Jacobian, its condition check and the line search in every iteration; each
-fresh LU replaces the kept one.  A failed solve drops the kept LU.  A curve
-passes one workspace to all its solves; its nodes are close, so most of
-them converge on chord steps alone.  A solve given no workspace builds its
-own and starts cold, so equal arguments give bit-identical points.  The LU,
-its solves and the condition estimate are direct LAPACK calls.
+takes quasi-Newton steps on it: QNERR (Deuflhard, Newton Methods for
+Nonlinear Problems, 2004, sec. 2.1.4), the step -LU^-1 R corrected by the
+steps already taken on the kept LU, which applies Broyden's "good" rank-1
+updates of that Jacobian without forming them.  Each step is kept only when
+it cuts the residual norm to at most THETA of its value.  The first step
+that does not is discarded, and the solve goes on from the same iterate as
+it would without a kept LU: damped Newton with a fresh Jacobian, its
+condition check and the line search in every iteration; each fresh LU
+replaces the kept one.  The steps are dropped when the solve ends, and a
+failed solve drops the kept LU.  A curve passes one workspace to all its
+solves; its nodes are close, so most of them converge on quasi-Newton steps
+alone.  A solve given no workspace builds its own and starts cold, so equal
+arguments give bit-identical points.  The LU, its solves and the condition
+estimate are direct LAPACK calls.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ __all__ = [
 
 SINGULAR_CONDITION = 1e14
 MIN_DAMPING = 2.0 ** -10  # the line search halves a Newton step down to this
-# A chord step is kept when the residual norm falls to at most THETA times its
-# value.  With 0.25, oscillatory-p512 took 9.2 steps per node and mu moved by
-# up to 6.6e-11 against the committed figure curves (3.0e-11 with 0.01).
-THETA = 0.01
+# A quasi-Newton step is kept when the residual norm falls to at most THETA
+# times its value.  Residuals / LU calls for oscillatory-p512 on [5, 60]
+# (step 0.1, 64 modes, three-point predictor): 0.01 -> 2423 / 898, 0.02 ->
+# 2618 / 665, 0.03 -> 2752 / 527, 0.05 -> 2981 / 368; mu moved by at most
+# 4.5e-11 against the committed curve at each.  At 0.01 and 0.02 a secant
+# start at xi = 7 needs a fresh LU; at 0.05 the plain warm start there does
+# not (tests/test_solver.py TestTangent).
+THETA = 0.03
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class SolutionPoint:
     "non_finite" (g overflows or is NaN at the start point, so the residual
     or mu is not a finite number).
 
-    newton_iters counts chord steps and fresh Newton steps alike, and
+    newton_iters counts quasi-Newton steps and fresh Newton steps alike, and
     max_iter bounds both.
     """
 
@@ -126,6 +133,25 @@ class _Workspace:
         # (lu, piv) of the last Jacobian factored, until a solve fails
         self.factor = None
 
+    def step(self, R: np.ndarray, steps=()) -> np.ndarray:
+        """Step at residual R on the kept LU, as an N-vector with 0 in slot k.
+
+        steps holds (s, s.s) for the full steps s_0..s_m already taken on the
+        kept LU in this solve.  With none, this is -LU^-1 R.  Each one adds
+        Broyden's "good" rank-1 update of the Jacobian (QNERR), applied to
+        v = -LU^-1 R by Sherman-Morrison: v += (s_(i-1).v / |s_(i-1)|^2) s_i
+        for i = 1..m, then v /= 1 - s_m.v / |s_m|^2.
+        """
+        lu, piv = self.factor
+        v = np.zeros(self.N)
+        v[self.reduced] = dgetrs(lu, piv, -R[self.reduced], overwrite_b=True)[0]
+        for (s0, ss0), (s1, _) in zip(steps, steps[1:]):
+            v += (s0 @ v / ss0) * s1
+        if steps:
+            s, ss = steps[-1]
+            v /= 1.0 - s @ v / ss
+        return v
+
     def g_coefficients(self, g_vals: np.ndarray) -> np.ndarray:
         if self.g0 == 0.0:
             return from_grid(g_vals, self.N)
@@ -157,10 +183,9 @@ class _Workspace:
         J[np.diag_indices(self.N)] -= self.lam
         return J.take(self.reduced, 0).take(self.reduced, 1)
 
-    def trial(self, xi: float, U: np.ndarray, delta: np.ndarray, step: float):
-        """U moved by step * delta on the non-k modes, its R, mu, u and |R|."""
-        U_try = U.copy()
-        U_try[self.reduced] += step * delta
+    def trial(self, xi: float, U: np.ndarray, v: np.ndarray):
+        """U + v (v an N-vector with 0 in slot k), its R, mu, u and |R|."""
+        U_try = U + v
         R, mu, u_vals = self.residual_mu(xi, U_try)
         return U_try, R, mu, u_vals, l2_norm(R, self.p.L)
 
@@ -185,7 +210,6 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     U = np.zeros(n_modes) if U0 is None else U0.padded(n_modes)
     if U[p.k - 1] != 0.0:
         raise ValueError("warm start must have zero coefficient on the driven harmonic")
-    red = ws.reduced
 
     R, mu, u_vals = ws.residual_mu(xi, U)
     rnorm = l2_norm(R, p.L)
@@ -196,17 +220,17 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
     if not (np.isfinite(R).all() and np.isfinite(mu)):
         failure = "non_finite"
 
-    chord = ws.factor is not None  # no chord step discarded yet
+    steps = [] if ws.factor is not None else None  # None once a step is discarded
     while failure is None and rnorm >= settings.newton_tol and iters < settings.max_iter:
-        if chord:
-            lu, piv = ws.factor
-            delta = dgetrs(lu, piv, -R[red], overwrite_b=True)[0]
-            trial = ws.trial(xi, U, delta, 1.0)
+        if steps is not None:
+            v = ws.step(R, steps)
+            trial = ws.trial(xi, U, v)
             if trial[-1] <= THETA * rnorm:
                 U, R, mu, u_vals, rnorm = trial
+                steps.append((v, v @ v))
                 iters += 1
                 continue
-            chord = False
+            steps = None
         J = ws.jacobian(u_vals)
         anorm = np.abs(J).sum(0).max()  # the 1-norm
         lu, piv = lu_factor(J)
@@ -215,17 +239,17 @@ def solve_at_signature(p: ProblemSpec, xi: float, U0: SineSeries | None = None,
             failure = "singular_jacobian"
             break
         ws.factor = (lu, piv)
-        delta = dgetrs(lu, piv, -R[red], overwrite_b=True)[0]
+        v = ws.step(R)
 
-        step = 1.0
+        damping = 1.0
         accepted = False
-        while step >= MIN_DAMPING:
-            trial = ws.trial(xi, U, delta, step)
+        while damping >= MIN_DAMPING:
+            trial = ws.trial(xi, U, damping * v)
             if trial[-1] < rnorm:
                 U, R, mu, u_vals, rnorm = trial
                 accepted = True
                 break
-            step *= 0.5
+            damping *= 0.5
         iters += 1
         if not accepted:
             failure = "line_search_stalled"

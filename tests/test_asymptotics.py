@@ -147,3 +147,16 @@ class TestUniversalProfile:
         lam = np.array([(j * np.pi / 2.0) ** 2 for j in range(1, 4)])
         res = -lam * prof.coeffs + (np.pi / 2.0) ** 2 * prof.coeffs - e.coeffs
         assert np.max(np.abs(res[1:])) < 1e-13
+
+    def test_two_mode_forcing(self):
+        # e = sin 3 pi x - 2 sin 4 pi x: mode-wise division by lambda_1 - lambda_j
+        prof = universal_profile(SineSeries(1.0, [0, 0, 1.0, -2.0, 0, 0, 0]), 0.0)
+        assert prof.coeffs[2] == pytest.approx(1 / (PI2 - 9 * PI2), rel=1e-14)
+        assert prof.coeffs[3] == pytest.approx(-2 / (PI2 - 16 * PI2), rel=1e-14)
+        assert np.all(prof.coeffs[[0, 1, 4, 5, 6]] == 0.0)
+
+    def test_random_forcing_leaves_principal_coefficient(self):
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal(9)
+        c[0] = 0.0
+        assert universal_profile(SineSeries(1.0, c), 0.0).coeffs[0] == 0.0

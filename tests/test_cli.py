@@ -393,7 +393,9 @@ class TestExitCodes:
         ("[problem]\ng = u\n[Run]\nxi_min = -1\nxi_max = 1\nmodes = 8\n",
          "unknown section [Run]; known sections: [problem], [run]"),
         ("[problem]\ng = u\n[runn]\nmodes = 8\n", "unknown section [runn]"),
-    ], ids=["run-mode", "run-xi-stepp", "problem-lambda", "section-Run", "section-runn"])
+        ("[DEFAULT]\nmodes = 8\n[problem]\ng = u\n", "unknown section [DEFAULT]"),
+    ], ids=["run-mode", "run-xi-stepp", "problem-lambda", "section-Run", "section-runn",
+            "section-DEFAULT"])
     def test_unknown_config_key(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(text)

@@ -245,7 +245,7 @@ class TestKeptFactorization:
     @pytest.mark.parametrize("A", [1.5, 3.0])
     def test_same_branch_as_fresh_factorizations(self, monkeypatch, A):
         # g' = 4 pi^2 + A cos u crosses lambda_2, so one xi can have several
-        # remainders; chord steps on an LU kept from the last node must not
+        # remainders; quasi-Newton steps on an LU kept from the last node must not
         # move the march to another one, nor change which nodes converge
         nl = Nonlinearity.from_expression(f"4*pi^2*u + {A}*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
@@ -294,14 +294,31 @@ class TestPredictor:
         assert [x for x, _, _ in calls[:3]] == list(nodes[:3])
         assert np.array_equal(calls[1][1], c.points[0].U.coeffs)
 
+        def direct(i):  # the call of node i's direct attempt
+            return next(n for n, call in enumerate(calls) if call[0] == nodes[i])
+
+        def secant(a, b, xi):  # the line through rows a and b, at xi
+            ra, rb = c.rows[a], c.rows[b]
+            return rb.U.coeffs + (xi - rb.xi) / (rb.xi - ra.xi) * (rb.U.coeffs - ra.U.coeffs)
+
+        # two rows before node 2, and node 8 follows the gap: each starts from
+        # the secant through the last two converged points
+        assert np.array_equal(calls[direct(2)][1], secant(0, 1, nodes[2]))
+        assert np.array_equal(calls[direct(8)][1], secant(5, 6, nodes[8]))
+
         for i in (3, 7):
-            prev2, prev, xi = c.rows[i - 2], c.rows[i - 1], nodes[i]
-            j = next(n for n, call in enumerate(calls) if call[0] == xi)
-            secant = prev.U.coeffs + (xi - prev.xi) / (prev.xi - prev2.xi) * (
-                prev.U.coeffs - prev2.U.coeffs)
-            assert np.array_equal(calls[j][1], secant)
+            xi = nodes[i]
+            j = direct(i)
+            # after three converged rows: the parabola through them, at xi
+            (x0, U0), (x1, U1), (x2, U2) = [(r.xi, r.U.coeffs) for r in c.rows[i - 3:i]]
+            quadratic = ((xi - x1) * (xi - x2) / ((x0 - x1) * (x0 - x2)) * U0
+                         + (xi - x0) * (xi - x2) / ((x1 - x0) * (x1 - x2)) * U1
+                         + (xi - x0) * (xi - x1) / ((x2 - x0) * (x2 - x1)) * U2)
+            assert np.max(np.abs(calls[j][1] - quadratic)) <= 1e-14 * np.max(np.abs(U2))
+            assert np.max(np.abs(calls[j][1] - secant(i - 2, i - 1, xi))) > 1e-6
             # no second direct attempt: the bridge's half step from the plain
             # warm start comes next
+            prev = c.rows[i - 1]
             half = calls[j + 1]
             assert half[0] == prev.xi + (xi - prev.xi) / 2
             assert np.array_equal(half[1], prev.U.coeffs)

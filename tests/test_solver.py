@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.lapack import dgetrs
 
 from harmcont import expressions, problems, solver
 from harmcont.continuation import follow_curve
@@ -46,6 +47,19 @@ def counting_lu(monkeypatch):
         return lu_factor(J)
 
     monkeypatch.setattr(solver, "lu_factor", counting)
+    return calls
+
+
+def counting_residuals(monkeypatch):
+    """Count _Workspace.residual_mu calls from now on; returns the one-item counter."""
+    calls = [0]
+    residual_mu = _Workspace.residual_mu
+
+    def counting(ws, xi, U):
+        calls[0] += 1
+        return residual_mu(ws, xi, U)
+
+    monkeypatch.setattr(_Workspace, "residual_mu", counting)
     return calls
 
 
@@ -262,7 +276,7 @@ class TestTangent:
     def test_converged_on_kept_factorization(self, monkeypatch, name, xi, n_modes):
         # the next node of a curve, started from the secant through the two
         # previous nodes (a difference approximation of the curve tangent),
-        # converges on chord steps alone, on the LU factored for those nodes
+        # converges on quasi-Newton steps alone, on the LU factored for those nodes
         p = catalog(name)
         ws = _Workspace(p, n_modes)
         prev = solve_at_signature(p, xi - 0.2, n_modes=n_modes, workspace=ws)
@@ -298,24 +312,17 @@ class TestHistoryIndependence:
 
 class TestFactorizationReuse:
     def test_rejected_chord_step_leaves_the_iteration_unchanged(self, monkeypatch):
-        # an LU kept from xi = 40 does not contract at xi = 10: the chord step
-        # is discarded, and the solve is the cold solve bit for bit
+        # an LU kept from xi = 40 does not contract at xi = 10: the first
+        # quasi-Newton step is discarded, and the solve is the cold solve bit for bit
         p = catalog("oscillatory-p512")
         ws = _Workspace(p, 64)
         assert solve_at_signature(p, 40.0, workspace=ws).converged
         assert ws.factor is not None
-        residuals = [0]
-        residual_mu = _Workspace.residual_mu
-
-        def counting(ws, xi, U):
-            residuals[0] += 1
-            return residual_mu(ws, xi, U)
-
-        monkeypatch.setattr(_Workspace, "residual_mu", counting)
+        residuals = counting_residuals(monkeypatch)
         kept = solve_at_signature(p, 10.0, workspace=ws)
         kept_residuals, residuals[0] = residuals[0], 0
         cold = solve_at_signature(p, 10.0, n_modes=64)
-        assert kept_residuals == residuals[0] + 1  # the discarded chord step
+        assert kept_residuals == residuals[0] + 1  # the discarded step
         assert kept.converged and cold.converged
         assert (kept.mu, kept.residual_norm, kept.newton_iters) == (
             cold.mu, cold.residual_norm, cold.newton_iters)
@@ -350,6 +357,50 @@ class TestFactorizationReuse:
         U0 = SineSeries.zero(p.L, 32 if other == "problem" else 64)
         with pytest.raises(ValueError, match="another problem or mode count"):
             solve_at_signature(p, 10.0, U0, workspace=ws)
+
+
+class TestQuasiNewtonStep:
+    def test_broyden_updates_of_the_kept_jacobian(self):
+        # the k-th step solves with J_k = J_(k-1) + R_k s_(k-1)^T / |s_(k-1)|^2,
+        # Broyden's "good" update of the kept J_0 by the last step taken; with
+        # no step taken it is the chord step on the kept LU, bit for bit
+        p = catalog("resonance-k7")
+        ws = _Workspace(p, 16)
+        _, _, u_vals = ws.residual_mu(3.0, np.zeros(16))
+        J = ws.jacobian(u_vals)
+        ws.factor = solver.lu_factor(J)
+        red = ws.reduced
+        rng = np.random.default_rng(5)
+        steps = []
+        for _ in range(4):
+            R = rng.standard_normal(16)
+            R[p.k - 1] = 0.0
+            v = ws.step(R, steps)
+            assert v[p.k - 1] == 0.0
+            if steps:
+                s = steps[-1][0][red]
+                J = J + np.outer(R[red], s) / (s @ s)
+            else:
+                assert np.array_equal(v[red], dgetrs(*ws.factor, -R[red])[0])
+            expected = np.linalg.solve(J, -R[red])
+            assert np.max(np.abs(v[red] - expected)) <= 1e-12 * np.max(np.abs(expected))
+            steps.append((v, v @ v))
+
+
+class TestWorkPerCurve:
+    """Work counts of the figure curves, which timing noise would hide."""
+
+    def test_lu_calls_oscillatory_p512(self, monkeypatch):
+        # 1163 with chord steps at THETA = 0.01 and the secant predictor alone
+        lu_calls = counting_lu(monkeypatch)
+        c = follow_curve(catalog("oscillatory-p512"), 5.0, 60.0, 0.1, n_modes=64)
+        assert not c.gaps and lu_calls[0] <= 600
+
+    def test_residuals_amann_hess_type(self, monkeypatch):
+        # 3691 with chord steps at THETA = 0.01 and the secant predictor alone
+        residuals = counting_residuals(monkeypatch)
+        c = follow_curve(catalog("amann-hess-type"), -40.0, 40.0, 0.1, n_modes=64)
+        assert not c.gaps and residuals[0] <= 3450
 
 
 class TestResolution:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.fft import dst
 
-from harmcont.asymptotics import universal_profile
 from harmcont.spectral import (SineSeries, eigenvalue, from_grid, l2_norm,
                                multiplication_matrix, to_grid)
 
@@ -123,53 +122,6 @@ class TestGridTransforms:
                      for j, c in enumerate(s.coeffs))
         assert np.allclose(s.eval(x), direct, atol=1e-15)
         assert s.eval(np.array([0.0, 1.5])) == pytest.approx([0.0, 0.0], abs=1e-13)
-
-
-class TestModalLinearSolve:
-    """Mode-wise division w_j = r_j / (lambda_1 - lambda_j), w _|_ phi_1.
-
-    The division lives in asymptotics.universal_profile, whose principal
-    coefficient carries xi; xi = 0 leaves the bare modal solve.
-    """
-
-    def test_single_mode(self):
-        w = universal_profile(SineSeries(1.0, [0.0, 1.0]), 0.0)
-        assert w.coeffs[1] == pytest.approx(-1 / (3 * PI2), rel=1e-14)
-        assert w.coeffs[0] == 0.0
-
-    def test_zero_rhs(self):
-        w = universal_profile(SineSeries(1.0, np.zeros(6)), 0.0)
-        assert np.all(w.coeffs == 0.0)
-
-    def test_two_mode_division(self):
-        # rhs = sin 3 pi x - 2 sin 4 pi x with shift lambda_1
-        rhs = SineSeries(1.0, [0, 0, 1.0, -2.0, 0, 0, 0])
-        w = universal_profile(rhs, 0.0)
-        assert w.coeffs[2] == pytest.approx(1 / (PI2 - 9 * PI2), rel=1e-14)
-        assert w.coeffs[3] == pytest.approx(-2 / (PI2 - 16 * PI2), rel=1e-14)
-        assert np.all(w.coeffs[[0, 1, 4, 5, 6]] == 0.0)
-
-    def test_excluded_coefficient_always_zero(self):
-        rng = np.random.default_rng(6)
-        c = rng.standard_normal(9)
-        c[0] = 0.0
-        w = universal_profile(SineSeries(1.0, c), 0.0)
-        assert w.coeffs[0] == 0.0
-
-    def test_nonzero_excluded_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            universal_profile(SineSeries(1.0, [1.0, 1.0]), 0.0)
-
-    def test_residual_of_solution_vanishes(self):
-        rng = np.random.default_rng(7)
-        c = rng.standard_normal(8)
-        c[0] = 0.0
-        rhs = SineSeries(2.0, c)
-        w = universal_profile(rhs, 0.0)
-        lam = np.array([eigenvalue(j, 2.0) for j in range(1, 9)])
-        residual = -lam * w.coeffs + lam[0] * w.coeffs - rhs.coeffs
-        residual[0] = 0.0
-        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestMultiplicationMatrix:
