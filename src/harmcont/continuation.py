@@ -122,9 +122,9 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                           - (prev.U.coeffs - first.U.coeffs) / (prev.xi - first.xi)
                           ) / (last.xi - first.xi)
                 moves = [secant + (target - last.xi) * (target - prev.xi) * second, secant]
-            size = np.hypot(last.xi, np.linalg.norm(warm.coeffs))  # of u's coefficients
+            size = np.hypot(last.xi, np.sqrt(warm.coeffs @ warm.coeffs))  # of u's coefficients
             for move in moves:
-                if np.linalg.norm(move) <= MAX_PREDICTOR_STEP * size:
+                if np.sqrt(move @ move) <= MAX_PREDICTOR_STEP * size:
                     start = SineSeries(p.L, warm.coeffs + move)
                     break
         pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)

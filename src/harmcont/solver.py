@@ -129,7 +129,8 @@ class _Workspace:
         # are known exactly, and transform only the end-vanishing remainder.
         self.g0 = float(np.asarray(p.nonlinearity.g(0.0), dtype=float))
         j = np.arange(1, self.N + 1)
-        self.const_coeffs = 2.0 * (1.0 - (-1.0) ** j) / (j * np.pi)
+        self.const_coeffs = self.g0 * (2.0 * (1.0 - (-1.0) ** j) / (j * np.pi))
+        self.neg_lam = -self.lam
         # (lu, piv) of the last Jacobian factored, until a solve fails
         self.factor = None
 
@@ -156,7 +157,7 @@ class _Workspace:
         if self.g0 == 0.0:
             return from_grid(g_vals, self.N)
         tilted = from_grid(g_vals - self.g0, self.N)
-        return tilted + self.g0 * self.const_coeffs
+        return tilted + self.const_coeffs
 
     def residual_mu(self, xi: float, U: np.ndarray):
         """Projected residual R = P[u'' + g(u) - e], mu and u on the grid.
@@ -172,7 +173,9 @@ class _Workspace:
         g_coef = self.g_coefficients(g_vals)
         k = self.p.k
         mu = -self.lam[k - 1] * xi + g_coef[k - 1]
-        R = -self.lam * c + g_coef - self.e_pad
+        R = self.neg_lam * c
+        R += g_coef
+        R -= self.e_pad
         R[k - 1] = 0.0
         return R, mu, u_vals
 

@@ -46,7 +46,7 @@ class SineSeries:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coefficients must be a non-empty 1-D array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
