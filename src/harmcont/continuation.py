@@ -6,14 +6,19 @@ predicted start (Allgower & Georg, Numerical Continuation Methods, ch. 2):
 the parabola through the last three rows, when all three converged,
 extended to the node; otherwise, or when that step is long, the line
 through the last two converged remainders; and the plain warm start when
-that step is long too.  A node whose direct attempt fails is bridged with
-halved sub-steps from the last converged point before being recorded as a
+that step is long too.  A node whose direct attempt fails is bridged by
+one half step from the last converged point before being recorded as a
 gap, unless the node before it is a gap: a bridge from that point has
 failed already, so a gap band costs one failed bridge plus one direct
-attempt per node.  Only the branch reachable by warm-started marching is
-followed; when the g' sandwich fails, other branches may exist and are not
-searched for.  A long predictor step could land on one of them, which is
-why it is not taken.
+attempt per node.  A node that still fails sits where xi stops being a
+global parameter, at a fold, and no shorter xi step crosses a fold: on
+39,335 nodes of the config-batch, figure, retry and k = 2 curves the only
+node a bridge rescued took one half step, and bridging down to 1/64 of a
+node step left every row the same.  Tracing folds needs pseudo-arclength
+continuation (ROADMAP item 2).  Only the branch reachable by warm-started
+marching is followed; when the g' sandwich fails, other branches may exist
+and are not searched for.  A long predictor step could land on one of
+them, which is why it is not taken.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .problems import ProblemSpec, RunSettings
 from .solver import SolutionPoint, SolverSettings, _Workspace, solve_at_signature
 from .spectral import SineSeries
 
-MAX_HALVINGS = 6  # deepest bridge sub-step is 1/2^MAX_HALVINGS of a node step
 # Longest predictor step, three-point or secant, relative to the coefficient
 # norm of u at the last point.  The figure curves take steps below 0.003.  On
 # 4 pi^2 u + A sin u over [-10, 10] the secant steps that jumped to another
@@ -89,16 +93,15 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     converged points (xi_prev, U_prev) and (xi, U), when there are two and
     its step is within the same bound, and from U itself otherwise (the zero
     series at the first node).  If the direct attempt fails and the node
-    before converged, the node is bridged from that point, with plain warm
-    starts, through the dyadic sub-steps
-    xi + (target - xi) j / 2^depth: a converged sub-step is kept and the
-    march goes on from it, a failed sub-step (depth, j) is retried at
-    (depth + 1, 2j - 1).  If depth MAX_HALVINGS fails, the direct attempt is
-    recorded as the node's gap row and marching moves on.  A node after a
-    gap row makes its direct attempt only: a later bridge would start from
-    the same point with the same plain warm start and no kept LU (a failed
-    solve drops it), and its sub-steps would repeat the failed bridge's
-    solves or lie farther from the start.  An entirely unsolvable range
+    before converged, the node is bridged from that point with plain warm
+    starts: one solve at the half step xi + (target - xi) / 2 from U and, if
+    it converges, one at target from the half step's remainder.  A converged
+    landing is the node's row; otherwise the direct attempt is recorded as
+    the node's gap row and marching moves on.  A node after a gap row makes
+    its direct attempt only: a later bridge would start from the same point
+    with the same plain warm start and no kept LU (a failed solve drops
+    it), and its half step would lie farther from the start than the
+    failed bridge's.  An entirely unsolvable range
     yields a curve of gap rows only.  All solves of the curve, direct and
     bridging, share one workspace, which carries a kept LU from each solve
     to the next.
@@ -130,19 +133,13 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
         pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)
         # after a gap row, the bridge from the last converged point has failed
         if not pt.converged and rows and rows[-1].converged:
-            depth, j, bridge = 1, 1, warm
-            while depth <= MAX_HALVINGS:
-                sub = 2 ** depth
-                # last sub-step lands on the node exactly, not within an ulp
-                xi_j = target if j == sub else last.xi + (target - last.xi) * j / sub
-                bp = solve_at_signature(p, xi_j, bridge, settings, n_modes=n_modes, workspace=ws)
-                if not bp.converged:
-                    depth, j = depth + 1, 2 * j - 1
-                elif j == sub:
-                    pt = bp
-                    break
-                else:
-                    bridge, j = bp.U, j + 1
+            half = solve_at_signature(p, last.xi + (target - last.xi) / 2, warm, settings,
+                                      n_modes=n_modes, workspace=ws)
+            if half.converged:
+                landing = solve_at_signature(p, target, half.U, settings,
+                                             n_modes=n_modes, workspace=ws)
+                if landing.converged:
+                    pt = landing
         rows.append(pt)
         if pt.converged:
             prev, last, warm = last, pt, pt.U

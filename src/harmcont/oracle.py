@@ -1,4 +1,4 @@
-"""Independent verification paths for the spectral solver.
+"""The independent verification path for the spectral solver: collocation.
 
 A collocation method solves the same boundary value problem in physical
 space: scipy's solve_bvp (4th-order Lobatto IIIA collocation with residual

@@ -128,45 +128,20 @@ class TestCrossings:
 
 
 class TestBridge:
-    """Step-halving bridge on g = 4 pi^2 u + 2 sin(u), where g' crosses lambda_2."""
+    """Half-step bridge on g = 4 pi^2 u + A sin(u), where g' crosses lambda_2."""
 
-    def test_converged_substeps_kept(self, monkeypatch):
+    def test_converged_substeps_kept(self):
         nl = Nonlinearity.from_expression("4*pi^2*u + 2*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
                         nonlinearity=nl)
-        calls = []
-        solve = continuation.solve_at_signature
-
-        def recording_solve(p, xi, *args, **kwargs):
-            pt = solve(p, xi, *args, **kwargs)
-            calls.append((float(xi), pt.converged))
-            return pt
-
-        monkeypatch.setattr(continuation, "solve_at_signature", recording_solve)
         c = follow_curve(p, -5.0, 0.0, 0.1, n_modes=32)
-        nodes = xi_nodes(-5.0, 0.0, 0.1)
-
-        # split the calls per node: each node starts with its direct attempt
-        resolved = 0
-        i = -1
-        for xi, converged in calls:
-            if i + 1 < len(nodes) and xi == nodes[i + 1]:
-                i += 1
-                kept = set()
-                continue
-            resolved += xi in kept
-            if converged:
-                kept.add(xi)
-        assert i == len(nodes) - 1
-        assert resolved == 0
-
         assert len(c.gaps) == 4
-        node_set = set(nodes.tolist())
+        node_set = set(xi_nodes(-5.0, 0.0, 0.1).tolist())
         assert all(g.xi in node_set and g.failure for g in c.gaps)
         assert all(pt.residual_norm < 1e-10 for pt in c.points)
 
     def test_one_workspace_per_curve(self, monkeypatch):
-        # the direct attempts and every bridge sub-step share the curve's
+        # the direct attempts and both bridge solves share the curve's
         # workspace; a solve given none would build its own
         nl = Nonlinearity.from_expression("4*pi^2*u + 2*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
@@ -202,7 +177,7 @@ class TestBridge:
         nodes = xi_nodes(-10.0, 10.0, 0.1)
 
         # split the calls per node: each node starts with its direct attempt,
-        # and a bridge's sub-steps never reach the next node
+        # and a bridge's half step never reaches the next node
         per_node = []
         for xi, pt in calls:
             if len(per_node) < len(nodes) and xi == nodes[len(per_node)]:
@@ -219,10 +194,42 @@ class TestBridge:
             assert c.rows[i] is solves[0]  # the gap row is the direct attempt
             if gap[i - 1]:
                 assert len(solves) == 1
-            else:  # a failed bridge: at least one failed sub-step per depth
+            else:  # a failed bridge: the half step, then the landing if it converged
                 bands += 1
-                assert len(solves) > continuation.MAX_HALVINGS
+                assert len(solves) == (2 if not solves[1].converged else 3)
+                assert not solves[-1].converged
         assert bands == 4
+
+    def test_half_step_rescues_a_failed_node(self, monkeypatch):
+        # the predicted attempt at 6.8 fails; the half step to 6.75 and the
+        # landing on 6.8 converge from plain warm starts and keep the march on
+        # its branch: without the bridge 6.8 is a gap and 6.9 lands near 205.53
+        nl = Nonlinearity.from_expression("4*pi^2*u + 2.7738*sin(u)")
+        p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
+                        nonlinearity=nl)
+        calls = []  # (xi, start coefficients, returned point), in call order
+        solve = continuation.solve_at_signature
+
+        def recording_solve(p, xi, U0, *args, **kwargs):
+            pt = solve(p, xi, U0, *args, **kwargs)
+            calls.append((float(xi), U0.coeffs.copy(), pt))
+            return pt
+
+        monkeypatch.setattr(continuation, "solve_at_signature", recording_solve)
+        c = follow_curve(p, 6.5, 7.5, 0.1, n_modes=64)
+        nodes = xi_nodes(6.5, 7.5, 0.1)
+        before, target = c.rows[2], nodes[3]
+        j = next(n for n, call in enumerate(calls) if call[0] == target)
+        direct, half, landing = calls[j:j + 3]
+        assert before.converged and not direct[2].converged
+        assert half[0] == before.xi + (target - before.xi) / 2
+        assert half[0] == pytest.approx(6.75)
+        assert np.array_equal(half[1], before.U.coeffs) and half[2].converged
+        assert landing[0] == target
+        assert np.array_equal(landing[1], half[2].U.coeffs) and landing[2].converged
+        assert c.rows[3] is landing[2]
+        assert c.rows[3].mu == pytest.approx(201.7943, abs=1e-4)
+        assert c.rows[4].converged and c.rows[4].mu == pytest.approx(204.5336, abs=1e-4)
 
 
 # gap nodes of 4 pi^2 u + A sin u, e = 0.3 phi_2 + 0.5 phi_3, over [-10, 10] with
@@ -286,10 +293,9 @@ class TestPredictor:
         c = follow_curve(p, 5.0, 6.0, 0.1, n_modes=64)
         assert [pt.xi for pt in c.rows] == list(nodes)
         assert [pt.xi for pt in c.gaps] == [fail_always]
-        # the direct attempt, then the bridge's landing on the node; at
-        # fail_always one landing per halving depth
+        # the direct attempt, then the landing after the converged half step
         assert [x for x, _, _ in calls].count(fail_once) == 2
-        assert [x for x, _, _ in calls].count(fail_always) == 1 + continuation.MAX_HALVINGS
+        assert [x for x, _, _ in calls].count(fail_always) == 2
         # one converged point is no secant: the second node starts from the first
         assert [x for x, _, _ in calls[:3]] == list(nodes[:3])
         assert np.array_equal(calls[1][1], c.points[0].U.coeffs)
