@@ -1,12 +1,18 @@
 """Tiny arithmetic grammar for user-supplied nonlinearities g(u), compiled once.
 
-Supports + - * / ^ (power, right-associative), unary minus, parentheses,
-the constant pi, the variable u, and the functions sin, cos, arctan, ln,
-abs.  Expression(text) parses to a small tuple tree, at most MAX_DEPTH
-levels deep, folds every u-free subtree to an np.float64 and turns every
-other node into one closure over its children, in the tree's order: nothing
-is reassociated, shared or rewritten.  It evaluates on numpy arrays or
-scalars with numpy semantics (1/0 is inf, not an exception).
+Supports + - * / ^ (power, right-associative; ** also works), unary signs,
+parentheses, the constant pi, the variable u, and the functions sin, cos,
+arctan, ln, abs.  parse reads the text with Python's own expression parser
+(ast.parse builds a tree and executes nothing), ^ read as **, and keeps only
+these forms: any other node, or a number not written as digits with an
+optional point and exponent (1_000, 0x10, 1j, True), is an ExpressionError.
+Digits may be any Unicode decimal digits, and integers may have leading
+zeros (007 is 7).  The result is a small tuple tree, at most MAX_DEPTH
+levels deep.  Expression(text) folds every u-free subtree to an np.float64
+and turns every other node into one closure over its children, in the
+tree's order: nothing is reassociated, shared or rewritten.  It evaluates
+on numpy arrays or scalars with numpy semantics (1/0 is inf, not an
+exception).
 
 complex_step(g, u) = Im g(u + ih) / h is the one rule for g' (Squire &
 Trapp, SIAM Rev. 40, 1998): no difference is taken, so with h = 1e-30 it
@@ -19,21 +25,25 @@ still returns a finite number: 1 for abs(u) at 0, about 7e14 for u^0.5 at
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
+import warnings
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
 MAX_DEPTH = 64  # nesting levels of an expression; deeper ones would exhaust Python's stack
 STEP = 1e-30  # imaginary step of g'; it enters no difference, so it need not balance roundoff
+
+_FOREIGN = re.compile(r"[^\s\dA-Za-z_.+\-*/^()]")  # a character no token of g holds
+# an integer, not an exponent's, is written as a float: 007 is then 7, and an integer
+# past Python's 4300-digit limit on int literals is inf, as float() reads it
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])0*(\d+)(?![\w.])")
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _abs(z):
@@ -48,137 +58,64 @@ _FUNCTIONS = {
     "ln": np.log,
     "abs": _abs,
 }
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
 
 class ExpressionError(ValueError):
     """Raised for syntax errors or unknown names in a g(u) expression."""
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            pos = len(text) - len(rest)  # the first character that is not blank
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r} at position {pos} in {text!r}"
-            )
-        pos = m.end()
-        tok = m.group("num") or m.group("name") or m.group("op")
-        tokens.append("^" if tok == "**" else tok)
-    if not tokens:
-        raise ExpressionError("empty expression")
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token list; produces a tuple tree."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.level = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ExpressionError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self):
-        tree = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input starting at {self.peek()!r}")
-        return tree
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        # every nesting (parentheses, signs, function arguments, exponents)
-        # passes through here, so this bounds the parser's recursion
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
-        if self.peek() == "-":
-            self.take()
-            node = ("neg", self.unary())
-        elif self.peek() == "+":
-            self.take()
-            node = self.unary()
-        else:
-            node = self.power()
-        self.level -= 1
-        return node
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return ("pow", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.fullmatch(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", tok):
-            return ("num", float(tok))
-        if tok == "u":
-            return ("var",)
-        if tok == "pi":
-            return ("num", math.pi)
-        if tok in _FUNCTIONS:
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return (tok, arg)
-        raise ExpressionError(f"unknown name {tok!r} (variable is 'u', constant 'pi')")
-
-
-def _depth(tree) -> int:
-    """Levels of a tree, counted without recursion: u+u+...+u is as deep as it is long."""
-    depth, level = 0, [tree]
-    while level:
-        depth += 1
-        level = [kid for node in level for kid in node[1:] if isinstance(kid, tuple)]
-    return depth
-
-
 def parse(text: str):
     """Parse an expression string into a tree at most MAX_DEPTH levels deep."""
-    tree = _Parser(_tokenize(text)).parse()
-    if _depth(tree) > MAX_DEPTH:
-        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
-    return tree
+    if bad := _FOREIGN.search(text):
+        raise ExpressionError(
+            f"unexpected character {bad[0]!r} at position {bad.start()} in {text!r}"
+        )
+    # Python's parser gives up at 200 parentheses with a message of its own
+    if max(accumulate((c == "(") - (c == ")") for c in text), default=0) >= MAX_DEPTH:
+        raise ExpressionError(_TOO_DEEP)
+    source = re.sub(r"\d", lambda m: str(int(m[0])), " ".join(text.split()))
+    source = _INTEGER.sub(r"\1.", source.replace("^", "**"))
+    if not source:
+        raise ExpressionError("empty expression")
+    try:
+        with warnings.catch_warnings():  # "1if u else 2" warns before it is rejected
+            warnings.simplefilter("ignore")
+            body = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # the parser's own limits on nesting
+        raise ExpressionError(_TOO_DEEP) from None
+    return _tree(body, source, 1)
+
+
+def _tree(node, source: str, level: int):
+    """The tuple tree of a whitelisted ast node at depth level of the tree."""
+    if level > MAX_DEPTH:
+        raise ExpressionError(_TOO_DEEP)
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        node = node.operand  # +x adds no node to the tree
+    written = source[node.col_offset:node.end_col_offset]  # source is ASCII on one line
+    match node:
+        case ast.BinOp(left, op, right) if type(op) in _BINARY:
+            return (_BINARY[type(op)], _tree(left, source, level + 1),
+                    _tree(right, source, level + 1))
+        case ast.UnaryOp(ast.USub(), operand):
+            return ("neg", _tree(operand, source, level + 1))
+        # a name called straight away: (sin)(u) starts before its callee
+        case ast.Call(ast.Name(name) as f, [arg], []) if (
+                name in _FUNCTIONS and f.col_offset == node.col_offset):
+            return (name, _tree(arg, source, level + 1))
+        case ast.Name("u"):
+            return ("var",)
+        case ast.Name("pi"):
+            return ("num", math.pi)
+        case ast.Constant() if _NUMBER.fullmatch(written):
+            return ("num", float(written))
+        case ast.Name(name) if name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown name {name!r} (variable is 'u', constant 'pi')")
+    raise ExpressionError(f"unexpected {written!r}: g takes + - * / ^ of numbers, u, pi "
+                          f"and {', '.join(_FUNCTIONS)} of one argument")
 
 
 _OPERATIONS = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,6 +13,8 @@ from harmcont import checks, cli
 from harmcont.checks import CheckRow
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_INTERNAL, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUICK = ["--xi-min", "0", "--xi-max", "2", "--step", "0.5", "--modes", "16"]
 
@@ -283,6 +288,14 @@ class TestExitCodes:
         assert run_cli("run", "cubic(1)", *QUICK, "--out", str(out)) == EXIT_INTERNAL
         assert "internal error: no curve" in capsys.readouterr().err
 
+    def test_verify_internal_error(self, capsys, monkeypatch):
+        def broken(suite):
+            raise RuntimeError("no suite")
+
+        monkeypatch.setattr(checks, "run_suite", broken)
+        assert run_cli("verify", "all") == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
+
     def test_bad_range_flags(self, tmp_path):
         assert run_cli("run", "cubic(1)", "--xi-min", "2", "--xi-max", "-2",
                        "--out", str(tmp_path)) == EXIT_CONFIG
@@ -374,6 +387,21 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_bad_expression_prints_one_line(self, tmp_path):
+        # Python's parser warns "invalid decimal literal" on 1if; a fresh
+        # interpreter shows warnings that pytest's filters would catch
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text("[problem]\ng = 1if u else 2\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-m", "harmcont.cli", "run", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == EXIT_CONFIG
+        assert len(done.stderr.splitlines()) == 1, done.stderr
 
     @pytest.mark.parametrize("problem", [
         "k = 0", "k = -2", "L = -1", "L = 0", "L = nan", "L = inf", "e = 0:1.0",

@@ -93,11 +93,30 @@ def test_cubic_of_u_rejected():
         problems.catalog("cubic(u)")
 
 
-@pytest.mark.parametrize("text", ["", "2+", "sin", "sin 3", "(1+2", "1+2)",
-                                  "2..5", "x+1", "foo(u)", "1 2"])
+@pytest.mark.parametrize("text", [
+    "", "2+", "sin", "sin 3", "(1+2", "1+2)", "2..5", "x+1", "foo(u)", "1 2",
+    # Python's grammar reads each of these; g's does not
+    "1_000*u", "0x10*u", "1j*u", "True*u", "u//2", "u if u else 1", "not u",
+    "sin(u, u)", "sin(x=u)", "u.real", "lambda: u", "2u", "u # c", "(sin)(u)",
+])
 def test_syntax_errors(text):
     with pytest.raises(ExpressionError):
         parse(text)
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("u*007", ("mul", ("var",), ("num", 7.0))),
+    ("00.5", ("num", 0.5)),
+    ("1e05*u", ("mul", ("num", 1e5), ("var",))),
+    ("\u0663*u", ("mul", ("num", 3.0), ("var",))),  # ARABIC-INDIC DIGIT THREE
+    ("\uff15*u", ("mul", ("num", 5.0), ("var",))),  # FULLWIDTH DIGIT FIVE
+    ("9" * 5000, ("num", math.inf)),  # past Python's 4300-digit limit on integers
+    ("pi^2*u\n  + sin(u)",  # a config value continued on a second line
+     ("add", ("mul", ("pow", ("num", math.pi), ("num", 2.0)), ("var",)), ("sin", ("var",)))),
+], ids=["leading-zeros", "leading-zeros-float", "exponent-zero", "arabic-indic-digit",
+        "fullwidth-digit", "long-integer", "two-lines"])
+def test_numbers_and_lines_read_as_written(text, tree):
+    assert parse(text) == tree
 
 
 def test_unexpected_character_skips_blanks():
@@ -192,7 +211,12 @@ def test_scalar_division_by_zero_is_inf(text):
     "(" * 300 + "u" + ")" * 300,
     "+".join(["u"] * 1500),
     "-" * 2000 + "u",
-], ids=["parentheses", "sum-chain", "unary-minus"])
+    "-" * 100000 + "u",
+    "u^" * 100000 + "u",
+    "+" * 100000 + "u",
+    "+".join(["u"] * 100000),
+], ids=["parentheses", "sum-chain", "unary-minus", "long-unary-minus", "long-power-chain",
+        "long-unary-plus", "long-sum-chain"])
 def test_too_deep_rejected(text):
     with pytest.raises(ExpressionError, match="deeper than"):
         parse(text)

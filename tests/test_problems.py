@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from harmcont.continuation import follow_curve
-from harmcont.problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
-                               RunSettings, catalog, load_config, validate_conditions)
+from harmcont.problems import (CATALOG_NAMES, DERIVATIVE_RTOL, ConfigError, Nonlinearity,
+                               ProblemSpec, RunSettings, catalog, check_derivative,
+                               load_config, validate_conditions)
 from harmcont.solver import SolverSettings, solve_at_signature
 from harmcont.spectral import SineSeries
 
@@ -132,6 +133,20 @@ class TestNonlinearityFromExpression:
     def test_bad_expression(self):
         with pytest.raises(Exception):
             Nonlinearity.from_expression("pi^2*u + qux(u)")
+
+    @pytest.mark.parametrize("text", ["pi^2*u + 0.1*sin(100*u)", "sin(1000*u)"])
+    def test_oscillatory_g_passes_the_derivative_check(self, text):
+        # a plain centred difference is off by h^2 g'''/6: 3.95e-5 and 4.33e-4
+        # of g' here, where the complex step is exact
+        nl = Nonlinearity.from_expression(text)
+        assert check_derivative(nl) < DERIVATIVE_RTOL
+
+    @pytest.mark.parametrize("g", [lambda u: np.abs(u) ** 3, lambda u: np.real(u) ** 3],
+                             ids=["abs-cubed", "real-part-cubed"])
+    def test_g_without_complex_continuation_rejected(self, g):
+        # both drop the imaginary part, so their complex step is 0
+        with pytest.raises(ValueError, match="g_prime"):
+            Nonlinearity(g, "x")
 
 
 def test_run_defaults_match_the_solver_defaults():
