@@ -8,13 +8,13 @@ multiplicity, evaluates closed-form large-xi asymptotics, and cross-validates
 everything against an independent collocation solver.
 """
 
-from .asymptotics import (AsymptoticCurve, envelope, for_catalog, mu_asymptotic,
-                          stationary_phase, universal_profile)
+from .asymptotics import envelope, mu_asymptotic, stationary_phase, universal_profile
 from .continuation import (Curve, CurveAnalysis, analyze, count_solutions,
                            follow_curve, xi_nodes)
 from .oracle import OracleResult, shoot
 from .problems import (CATALOG_NAMES, ConfigError, Nonlinearity, ProblemSpec,
-                       RunSettings, catalog, load_config, validate_conditions)
+                       RunSettings, catalog, for_catalog, load_config,
+                       validate_conditions)
 from .solver import (SolutionPoint, SolverSettings, solution_series,
                      solve_at_signature)
 from .spectral import SineSeries, eigenvalue, from_grid, to_grid
@@ -22,7 +22,7 @@ from .spectral import SineSeries, eigenvalue, from_grid, to_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticCurve", "CATALOG_NAMES", "ConfigError", "Curve", "CurveAnalysis",
+    "CATALOG_NAMES", "ConfigError", "Curve", "CurveAnalysis",
     "Nonlinearity", "OracleResult", "ProblemSpec", "RunSettings",
     "SineSeries", "SolutionPoint", "SolverSettings", "analyze", "catalog",
     "count_solutions", "eigenvalue", "envelope", "follow_curve",

@@ -123,11 +123,10 @@ def fresnel_errors() -> dict[float, float]:
     # imported here so that hc run, which never calls this, skips scipy.special
     from scipy.special import fresnel
 
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-    sq = lambda x: np.asarray(x, dtype=float) ** 2
     out = {}
     for lam in FRESNEL_LAMS:
-        sp = asymptotics.stationary_phase(one, sq, lam, -1.0, 1.0)
+        sp = asymptotics.stationary_phase(lambda x: 1.0, lambda x: x * x, lam,
+                                          x0=0.0, g2=2.0)
         s, c = fresnel(np.sqrt(2.0 * lam / np.pi))
         out[lam] = abs(sp - 2.0 * np.sqrt(np.pi / (2.0 * lam)) * complex(c, s))
     return out
@@ -137,29 +136,31 @@ def hump_sum_identity(k: int = 7, xi: float = 23.0) -> float:
     """|formula - stationary-phase hump sum| for the k-th curve formula.
 
     The k-th curve formula is exactly (2/L) Im of the per-hump stationary
-    phase contributions of int sin(k pi x) e^{i xi sin(k pi x)}; summing the
-    evaluator over the k humps must reproduce it to roundoff.
+    phase contributions of int sin(k pi x) e^{i xi sin(k pi x)}: hump m has
+    its critical point at (m + 1/2)/k, where g'' = -(k pi)^2 (-1)^m.  Summing
+    the evaluator over the k humps must reproduce it to roundoff.
     """
-    g = lambda x: np.sin(k * np.pi * np.asarray(x, dtype=float))
-    total = sum(asymptotics.stationary_phase(g, g, xi, m / k, (m + 1) / k)
+    g = lambda x: np.sin(k * np.pi * x)
+    total = sum(asymptotics.stationary_phase(g, g, xi, x0=(m + 0.5) / k,
+                                             g2=-(k * np.pi) ** 2 * (-1) ** m)
                 for m in range(k))
-    formula = asymptotics.mu_asymptotic(asymptotics.AsymptoticCurve(), xi)
+    formula = asymptotics.mu_asymptotic(problems.for_catalog("resonance-k7"), xi)
     return abs(2.0 * total.imag - formula)
 
 
 def asymptotics_suite() -> list[CheckRow]:
     rows = []
-    a = asymptotics.for_catalog("oscillatory-p512")
+    h = problems.for_catalog("oscillatory-p512")
 
     # zeros of the principal formula sit exactly at pi/4 + n pi (h > 0)
     worst = 0.0
     for n in range(1, 20):
         z = np.pi / 4 + n * np.pi
-        worst = max(worst, abs(asymptotics.mu_asymptotic(a, z)))
+        worst = max(worst, abs(asymptotics.mu_asymptotic(h, z)))
     rows.append(_row("asymptotics", "zero crossings at pi/4 + n pi", worst < 1e-12,
                      f"worst |mu| at the nodes = {worst:.2e}"))
 
-    hk = asymptotics.AsymptoticCurve()
+    hk = problems.for_catalog("resonance-k7")  # h == 1
     xs = np.linspace(1.0, 80.0, 4001)
     vals = np.abs(asymptotics.mu_asymptotic(hk, xs))
     env = asymptotics.envelope(hk, xs)

@@ -30,10 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .asymptotics import for_catalog, mu_asymptotic
+from .asymptotics import mu_asymptotic
 from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
 from .problems import (CATALOG_NAMES, ConfigError, ProblemSpec, RunSettings, catalog,
-                       load_config)
+                       for_catalog, load_config)
 from .solver import SolverSettings, _Workspace
 
 EXIT_OK = 0
@@ -105,12 +105,9 @@ def _ticks(lo: float, hi: float):
             step = mult * mag
             break
     start = np.ceil(lo / step) * step
-    ticks = []
-    t = start
-    while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
-    return ticks
+    # by index: t += step stalls once step is below half an ulp of t
+    ticks = start + step * np.arange(int((hi + 1e-9 * span - start) / step) + 1)
+    return np.where(np.abs(ticks) < 1e-12 * span, 0.0, ticks).tolist()
 
 
 def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:

@@ -42,8 +42,8 @@ MAX_PREDICTOR_STEP = 0.02
 def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     """Marching nodes xi_min, xi_min + step, ... (last node <= xi_max + tiny).
 
-    ValueError naming the setting for a non-finite input, xi_min >= xi_max
-    or step <= 0.
+    ValueError naming the setting for a non-finite input, xi_min >= xi_max,
+    step <= 0 or a node count (xi_max - xi_min) / step that is not finite.
     """
     for name, value in (("xi_min", xi_min), ("xi_max", xi_max), ("xi_step", step)):
         if not np.isfinite(value):
@@ -52,7 +52,11 @@ def xi_nodes(xi_min: float, xi_max: float, step: float) -> np.ndarray:
         raise ValueError(f"xi_min must be below xi_max, got [{xi_min}, {xi_max}]")
     if step <= 0:
         raise ValueError(f"xi_step must be positive, got {step}")
-    n = int(np.floor((xi_max - xi_min) / step + 1e-9))
+    count = (xi_max - xi_min) / step
+    if not np.isfinite(count):
+        raise ValueError(f"(xi_max - xi_min) / xi_step must be finite, got "
+                         f"({xi_max} - {xi_min}) / {step}")
+    n = int(np.floor(count + 1e-9))
     return xi_min + step * np.arange(n + 1)
 
 

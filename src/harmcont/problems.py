@@ -108,7 +108,7 @@ def check_derivative(nl: Nonlinearity) -> float:
 # --- catalog ---------------------------------------------------------------
 # name -> (g text, k, forcing pairs, h text).  g is also the descriptor; the
 # cubic's is formatted with its lambda per call.  h, if any, is the amplitude of
-# the closed-form curve (asymptotics.for_catalog).  Each fixed entry's g is
+# the closed-form curve (for_catalog).  Each fixed entry's g is
 # compiled once into a module attribute (_g_resonance_k7 for resonance-k7),
 # which catalog() reads at call time, so a module wrapper is what a problem gets.
 
@@ -121,6 +121,12 @@ _CATALOG = {
     "resonant-bounded": ("pi^2*u + u/(1+u^2)", 1, [(2, 0.2)], None),
 }
 CATALOG_NAMES = tuple(_CATALOG)
+
+
+def for_catalog(name: str) -> expressions.Expression | None:
+    """The amplitude h of a catalog problem's closed-form curve; None if it has none."""
+    h = _CATALOG.get(name, (None,) * 4)[3]
+    return None if h is None else expressions.Expression(h)
 
 
 def _module_attr(name: str) -> str:

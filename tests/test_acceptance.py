@@ -8,10 +8,10 @@ import time
 
 import numpy as np
 
-from harmcont.asymptotics import envelope, for_catalog, mu_asymptotic, universal_profile
+from harmcont.asymptotics import envelope, mu_asymptotic, universal_profile
 from harmcont.checks import asymptotics_suite, linear_suite, oracle_suite
 from harmcont.continuation import analyze, count_solutions, follow_curve
-from harmcont.problems import Nonlinearity, ProblemSpec, catalog
+from harmcont.problems import Nonlinearity, ProblemSpec, catalog, for_catalog
 from harmcont.solver import solution_series, solve_at_signature
 from harmcont.spectral import SineSeries
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import jv, struve
 
-from harmcont.asymptotics import (AsymptoticCurve, envelope, for_catalog,
-                                  mu_asymptotic, stationary_phase,
+from harmcont.asymptotics import (envelope, mu_asymptotic, stationary_phase,
                                   universal_profile)
 from harmcont.checks import hump_sum_identity
+from harmcont.problems import for_catalog
 from harmcont.spectral import SineSeries
 
 PI2 = np.pi ** 2
-HK = AsymptoticCurve()  # h == 1: the k-th curve of lambda_k u + sin u
+HK = for_catalog("resonance-k7")  # h == 1: the k-th curve of lambda_k u + sin u
 
 
 class TestCurveFormulas:
@@ -54,48 +54,52 @@ class TestCurveFormulas:
             mu_asymptotic(HK, np.array([1.0, 0.0]))
 
     def test_envelope_scales_by_abs_h(self):
-        a = AsymptoticCurve(h=lambda u: -3.0 * np.ones_like(u))
+        h = lambda u: -3.0 * np.ones_like(u)
         xs = np.array([-7.0, 2.0, 50.0])
-        assert np.array_equal(envelope(a, xs), envelope(HK, xs) * 3.0)
+        assert np.array_equal(envelope(h, xs), envelope(HK, xs) * 3.0)
 
     def test_catalog_mapping(self):
         # the amplitude texts of the catalog table, h == 1 for the k-th curve
         xs = np.array([-30.0, 0.5, 40.0])
-        k7 = for_catalog("resonance-k7")
-        assert np.array_equal(k7.h(xs), np.ones(3))
-        assert np.array_equal(mu_asymptotic(k7, xs), mu_asymptotic(HK, xs))
-        h = for_catalog("oscillatory-p512").h
+        assert np.array_equal(for_catalog("resonance-k7")(xs), np.ones(3))
+        h = for_catalog("oscillatory-p512")
         assert h(40.0) == pytest.approx(5.0 * (40.0 ** 2 + 1) ** (5 / 12), rel=1e-15)
         for name in ("amann-hess-type", "resonant-bounded", "cubic", "cubic(pi^2)"):
             assert for_catalog(name) is None
 
 
 def one(x):
-    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
+    return 1.0
 
 
 def square(x):
-    return np.asarray(x, dtype=float) ** 2
+    return x * x
 
 
 class TestStationaryPhase:
     def test_fresnel_closed_form(self):
         lam = 400.0
-        sp = stationary_phase(one, square, lam, -1.0, 1.0)
+        sp = stationary_phase(one, square, lam, x0=0.0, g2=2.0)
         expected = np.exp(1j * np.pi / 4) * np.sqrt(np.pi / lam)
-        assert sp == pytest.approx(expected, rel=1e-9)
+        assert sp == pytest.approx(expected, rel=1e-15)
 
     def test_zero_amplitude(self):
         zero = lambda x: 0.0
-        assert stationary_phase(zero, square, 100.0, -1.0, 1.0) == 0
+        assert stationary_phase(zero, square, 100.0, x0=0.0, g2=2.0) == 0
+
+    def test_interval_call_rejected(self):
+        # the critical point and g'' are keyword-only: the old (a, b) call of
+        # an interval does not run with x0 = a
+        with pytest.raises(TypeError):
+            stationary_phase(one, square, 100.0, -1.0, 1.0)
 
     def test_sine_phase_closed_form(self):
         # f = g = sin(pi x) on [0,1]: x0 = 1/2, g'' = -pi^2, f(x0) = 1
         lam = 100.0
         f = lambda x: np.sin(np.pi * x)
-        sp = stationary_phase(f, f, lam, 0.0, 1.0)
+        sp = stationary_phase(f, f, lam, x0=0.5, g2=-PI2)
         expected = np.exp(1j * (lam - np.pi / 4)) * np.sqrt(2.0 / (np.pi * lam))
-        assert sp == pytest.approx(expected, rel=1e-7)
+        assert sp == pytest.approx(expected, rel=1e-14)
         # the exact integral, 2/pi - H_1(lam) + i J_1(lam) (DLMF 10.9, 11.5)
         exact = 2.0 / np.pi - struve(1, lam) + 1j * jv(1, lam)
         assert abs(sp - exact) < 5.0 / lam
@@ -105,23 +109,20 @@ class TestStationaryPhase:
         f = lambda x: np.sin(np.pi * x)
         g = lambda x: -np.sin(np.pi * x)
         lam = 150.0
-        sp = stationary_phase(f, g, lam, 0.0, 1.0)
+        sp = stationary_phase(f, g, lam, x0=0.5, g2=PI2)
         expected = np.exp(1j * (-lam + np.pi / 4)) * np.sqrt(2.0 / (np.pi * lam))
-        assert sp == pytest.approx(expected, rel=1e-7)
+        assert sp == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_critical_point_rejected(self):
-        quartic = lambda x: np.asarray(x, dtype=float) ** 4
+        quartic = lambda x: x ** 4
         with pytest.raises(ValueError, match="degenerate"):
-            stationary_phase(one, quartic, 100.0, -1.0, 1.0)
-
-    def test_no_critical_point_rejected(self):
-        line = lambda x: 2.0 * np.asarray(x, dtype=float)
-        with pytest.raises(ValueError, match="critical point"):
-            stationary_phase(one, line, 100.0, -1.0, 1.0)
+            stationary_phase(one, quartic, 100.0, x0=0.0, g2=0.0)
 
     def test_per_hump_sum_reproduces_curve_formula(self):
-        # the suite row checks k = 7 at xi = 23
-        assert hump_sum_identity(k=4, xi=31.0) < 1e-8
+        # the closed-form critical points leave only roundoff; the suite row
+        # checks k = 7 at xi = 23 against a looser bound
+        for k, xi in ((4, 31.0), (7, 23.0)):
+            assert hump_sum_identity(k=k, xi=xi) < 1e-15
 
 
 class TestUniversalProfile:

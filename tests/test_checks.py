@@ -1,6 +1,8 @@
+from functools import partial
+
 import pytest
 
-from harmcont import checks, oracle
+from harmcont import checks, oracle, solver
 from harmcont.checks import (SUITES, invariants_suite, linear_suite, oracle_suite,
                              run_suite)
 
@@ -39,3 +41,13 @@ def test_oracle_row_names_each_non_convergence(monkeypatch):
     failures = row.detail.split("NON-CONVERGENCE at ")[1:]
     assert [f.split(" (")[0] for f in failures] == ["xi = -10", "xi = 10"]
     assert all("solve_bvp status 1" in f for f in failures)
+
+
+def test_oracle_row_names_a_spectral_non_convergence(monkeypatch):
+    # one Newton iteration does not reach the tolerance from a cold start
+    monkeypatch.setattr(checks, "ORACLE_MODES", {"resonant-bounded": 64})
+    monkeypatch.setattr(checks, "ORACLE_XI", (3.0,))
+    monkeypatch.setattr(solver, "SolverSettings", partial(solver.SolverSettings, max_iter=1))
+    (row,) = oracle_suite()
+    assert not row.passed
+    assert row.detail.endswith(", NON-CONVERGENCE at xi = 3 (spectral max_iter)")

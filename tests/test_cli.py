@@ -23,6 +23,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_hc(cwd, *argv, timeout=300):
+    """hc in a fresh interpreter, which shows warnings and can be timed out."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "harmcont.cli", *map(str, argv)],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 class TestRunCatalog:
     def test_artifacts_written(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HC_OUT_DIR", str(tmp_path))
@@ -91,6 +101,17 @@ class TestRunCatalog:
 
     def test_unknown_catalog_name(self, tmp_path):
         assert run_cli("run", "no-such-problem", "--out", str(tmp_path)) == EXIT_CONFIG
+
+    def test_axis_spanning_one_ulp(self, tmp_path):
+        # the xi axis is [1e17, 1e17 + 16] with ticks 5 apart, below half an
+        # ulp (16) of 1e17: the ticks are placed by index, not by adding 5
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text("[problem]\ng = pi^2*u + sin(u)\ne = 2:0.5\n[run]\n"
+                       "xi_min = 1e17\nxi_max = 100000000000000016\nxi_step = 16\n")
+        out = tmp_path / "out"
+        done = run_hc(tmp_path, "run", cfg, "--out", out, timeout=30)
+        assert done.returncode == EXIT_OK, done.stderr
+        ET.fromstring((out / "curve.svg").read_text())
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -345,8 +366,9 @@ class TestExitCodes:
         ("xi_min = 2\nxi_max = -2\n", "xi_min"), ("mu_star = nan, 1\n", "mu_star"),
         ("xi_step = 0\n", "xi_step"), ("modes = 1.5\n", "modes = '1.5'"),
         ("max_iter = ten\n", "max_iter = 'ten'"),
+        ("xi_min = -1e308\nxi_max = 1e308\n", "(xi_max - xi_min) / xi_step"),
     ], ids=["empty-range", "mu-star-nan", "step-zero", "modes-not-int",
-            "max-iter-not-int"])
+            "max-iter-not-int", "range-width-overflows"])
     def test_bad_config_run_settings(self, tmp_path, capsys, run, setting):
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(f"[problem]\ng = u\n[run]\n{run}")
@@ -388,18 +410,20 @@ class TestExitCodes:
         assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_nowhere_finite_g(self, tmp_path, capsys):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text("[problem]\ng = 1/0*u\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert "not finite on [-50.0, 50.0]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_expression_prints_one_line(self, tmp_path):
         # Python's parser warns "invalid decimal literal" on 1if; a fresh
         # interpreter shows warnings that pytest's filters would catch
         cfg = tmp_path / "problem.cfg"
         cfg.write_text("[problem]\ng = 1if u else 2\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-        done = subprocess.run([sys.executable, "-m", "harmcont.cli", "run", str(cfg),
-                               "--out", str(tmp_path / "out")],
-                              env=env, cwd=tmp_path, capture_output=True, text=True,
-                              timeout=300)
+        done = run_hc(tmp_path, "run", cfg, "--out", tmp_path / "out")
         assert done.returncode == EXIT_CONFIG
         assert len(done.stderr.splitlines()) == 1, done.stderr
 

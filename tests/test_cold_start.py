@@ -1,7 +1,8 @@
 """hc run loads none of scipy.optimize, scipy.integrate and scipy.special.
 
-The check runs in a fresh interpreter: pytest itself imports scipy.integrate
-at start-up, for the IntegrationWarning filter in pyproject.toml.
+harmcont never imports scipy.optimize itself: scipy.integrate does, on the
+oracle's first call.  The check runs in a fresh interpreter, since other test
+modules import scipy.special and scipy.integrate into the pytest process.
 """
 
 import cmath
@@ -26,7 +27,7 @@ def lazy():
 code = cli.main(["run", "amann-hess-type", "--xi-min", "-2", "--xi-max", "2",
                  "--out", sys.argv[1]])
 after_run = lazy()
-sp = stationary_phase(lambda x: 1.0, lambda x: x * x, 100.0, -1.0, 1.0)
+sp = stationary_phase(lambda x: 1.0, lambda x: x * x, 100.0, x0=0.0, g2=2.0)
 shot = oracle.shoot(catalog("amann-hess-type"), 1.0)
 errs = checks.fresnel_errors()
 print(json.dumps({"code": code, "after_run": after_run, "after_calls": lazy(),

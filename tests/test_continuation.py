@@ -37,6 +37,23 @@ class TestXiNodes:
         with pytest.raises(ValueError, match="finite"):
             xi_nodes(xi_min, xi_max, step)
 
+    @pytest.mark.parametrize("xi_min, xi_max, step", [
+        (-1e308, 1e308, 0.1), (0.0, 1.0, 5e-324),
+    ], ids=["width-overflows", "count-overflows"])
+    def test_node_count_overflow(self, xi_min, xi_max, step):
+        with pytest.raises(ValueError, match=r"\(xi_max - xi_min\) / xi_step must be finite"):
+            xi_nodes(xi_min, xi_max, step)
+
+
+class TestParabolicVertex:
+    @pytest.mark.parametrize("x, y", [
+        ((1.0, 1.0, 2.0), (0.0, 1.0, 0.0)),
+        ((0.0, 1.0, 2.0), (0.0, 1.0, 2.0)),
+        ((0.0, 1.0, 2.0), (0.0, 1.0, 3.0)),  # vertex at x = -0.5
+    ], ids=["equal-abscissae", "collinear", "vertex-outside"])
+    def test_falls_back_to_the_middle_sample(self, x, y):
+        assert continuation._parabolic_vertex(x, y) == (x[1], y[1])
+
 
 class TestLinearCurve:
     def test_exact_line(self):

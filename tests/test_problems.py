@@ -89,6 +89,11 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(L=1.0, k=0, e=SineSeries.zero(1.0, 2), nonlinearity=nl)
 
+    def test_forcing_on_another_interval_rejected(self):
+        nl = catalog("cubic(1)").nonlinearity
+        with pytest.raises(ValueError, match="does not match the problem interval"):
+            ProblemSpec(L=2.0, k=1, e=SineSeries.zero(1.0, 2), nonlinearity=nl)
+
 
 class TestValidateConditions:
     def test_resonance_k7_sandwich(self):

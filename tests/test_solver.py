@@ -116,7 +116,7 @@ class TestSolveNonlinear:
         # amplitude agrees to 1.4%, but the computed crests and troughs both
         # sit about 10% of the amplitude below the formula's pure sine (10.1%
         # of the envelope near xi = 29, still 9.5% near xi = 192)
-        from harmcont.asymptotics import for_catalog, mu_asymptotic
+        from harmcont import for_catalog, mu_asymptotic
         p = catalog("oscillatory-p512")
         pt = solve_at_signature(p, 40.0, n_modes=64)
         assert pt.converged

@@ -154,6 +154,11 @@ class TestSineSeriesValidation:
         with pytest.raises(ValueError):
             SineSeries(1.0, [np.nan])
 
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-D"])
+    def test_rejects_empty_or_not_1d(self, coeffs):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            SineSeries(1.0, coeffs)
+
     def test_from_pairs(self):
         s = SineSeries.from_pairs(1.0, [(2, 0.2), (5, -1.0)], n_modes=7)
         assert s.n_modes == 7
