@@ -199,15 +199,6 @@ def invariants_suite() -> list[CheckRow]:
     rows.append(_row("invariants", "Parseval consistency", par < 1e-10,
                      f"relative defect = {par:.2e}"))
 
-    # catalog derivatives against finite differences
-    worst = 0.0
-    for name in ORACLE_MODES:
-        p = problems.catalog(name)
-        worst = max(worst, problems.check_derivative(p.nonlinearity))
-    rows.append(_row("invariants", "catalog g' matches finite differences",
-                     worst < problems.DERIVATIVE_RTOL,
-                     f"worst relative error = {worst:.2e}"))
-
     # warm-start consistency: half stepping reproduces mu at shared nodes
     p = problems.catalog("oscillatory-p512")
     c1 = continuation.follow_curve(p, 5.0, 9.0, 0.2, n_modes=64)

@@ -5,7 +5,8 @@ hc run <catalog-name | config-file | config-dir> [flags]
     asymptotic formula) asymptote.csv into the output directory.  Each run
     flag's dest is the RunSettings field it overrides (--step is xi_step,
     --tol newton_tol), the name a config's [run] key has too.  With the flags
-    applied, each setting is checked before anything is written.
+    applied, each setting is checked once, by the code that uses it, and
+    nothing is written until the curve has been followed.
 
 hc verify <linear | oracle | asymptotics | invariants | all>
     runs the named check suite and prints a PASS/FAIL table.
@@ -31,10 +32,10 @@ import numpy as np
 
 from . import checks
 from .asymptotics import mu_asymptotic
-from .continuation import Curve, analyze, count_solutions, follow_curve, xi_nodes
-from .problems import (CATALOG_NAMES, ConfigError, ProblemSpec, RunSettings, catalog,
-                       for_catalog, load_config)
-from .solver import SolverSettings, _Workspace
+from .continuation import Curve, analyze, count_solutions, follow_curve
+from .problems import (CATALOG_NAMES, ConfigError, RunSettings, catalog, for_catalog,
+                       load_config)
+from .solver import SolverSettings
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,7 +97,9 @@ def write_analysis_txt(path: Path, curve: Curve, mu_stars) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _ticks(lo: float, hi: float):
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """(tick, label) pairs of the axis [lo, hi]: each label has the fewest
+    significant digits, at least %g's 6, that tell the ticks apart."""
     span = hi - lo
     raw = span / (N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -107,7 +110,13 @@ def _ticks(lo: float, hi: float):
     start = np.ceil(lo / step) * step
     # by index: t += step stalls once step is below half an ulp of t
     ticks = start + step * np.arange(int((hi + 1e-9 * span - start) / step) + 1)
-    return np.where(np.abs(ticks) < 1e-12 * span, 0.0, ticks).tolist()
+    # a step below an ulp rounds neighbouring ticks to one double: keep one
+    ticks = list(dict.fromkeys(np.where(np.abs(ticks) < 1e-12 * span, 0.0, ticks).tolist()))
+    for digits in range(6, 18):  # 17 tell any two doubles apart
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(ticks):
+            break
+    return list(zip(ticks, labels))
 
 
 def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:
@@ -156,17 +165,17 @@ def write_svg(path: Path, curve: Curve, asym_xy=None, title: str = "") -> None:
         parts.append(f'<text x="{W / 2:.0f}" y="26" text-anchor="middle" '
                      'font-family="sans-serif" font-size="15">'
                      f'{html.escape(title, quote=False)}</text>')
-    for t in _ticks(x0, x1):
+    for t, label in _ticks(x0, x1):
         parts.append(f'<line x1="{X(t):.2f}" y1="{H - mb}" x2="{X(t):.2f}" '
                      f'y2="{H - mb + 5}" stroke="black"/>')
         parts.append(f'<text x="{X(t):.2f}" y="{H - mb + 20}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12">{t:g}</text>')
-    for t in _ticks(y0, y1):
+                     f'font-family="sans-serif" font-size="12">{label}</text>')
+    for t, label in _ticks(y0, y1):
         parts.append(f'<line x1="{ml - 5}" y1="{Y(t):.2f}" x2="{ml}" '
                      f'y2="{Y(t):.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 9}" y="{Y(t):.2f}" text-anchor="end" '
                      f'dominant-baseline="middle" font-family="sans-serif" '
-                     f'font-size="12">{t:g}</text>')
+                     f'font-size="12">{label}</text>')
     if y0 < 0 < y1:
         parts.append(f'<line x1="{ml}" y1="{Y(0):.2f}" x2="{W - mr}" y2="{Y(0):.2f}" '
                      'stroke="#bbbbbb" stroke-width="0.7"/>')
@@ -192,24 +201,6 @@ def _out_root() -> Path:
     return Path(os.environ.get("HC_OUT_DIR", "."))
 
 
-def _checked(target: str, spec: ProblemSpec, settings: RunSettings) -> SolverSettings:
-    """The SolverSettings of a run; ConfigError naming target unless it can run.
-
-    Each rule is checked by the code that uses the setting: xi_nodes checks
-    the xi range and step, the solver's workspace the mode count, and
-    SolverSettings the tolerance and iteration count.  Only the rule that
-    every mu_star is finite is this function's own.
-    """
-    try:
-        xi_nodes(settings.xi_min, settings.xi_max, settings.xi_step)
-        if not np.all(np.isfinite(settings.mu_star)):
-            raise ValueError(f"mu_star must be finite, got {settings.mu_star}")
-        _Workspace(spec, settings.modes)
-        return SolverSettings(newton_tol=settings.newton_tol, max_iter=settings.max_iter)
-    except ValueError as exc:
-        raise ConfigError(f"{target}: {exc}") from exc
-
-
 def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
     """Run a single catalog problem or config file; returns an exit code."""
     path = Path(target)
@@ -225,13 +216,20 @@ def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
         settings = RunSettings()
         asym = for_catalog(target)
     settings = replace(settings, **overrides)
-    solver_settings = _checked(target, spec, settings)
+    # SolverSettings checks the tolerance and iteration cap, follow_curve the
+    # other settings; only the rule that every mu_star is finite is run_one's own
+    try:
+        if not np.all(np.isfinite(settings.mu_star)):
+            raise ValueError(f"mu_star must be finite, got {settings.mu_star}")
+        curve = follow_curve(spec, settings.xi_min, settings.xi_max, settings.xi_step,
+                             SolverSettings(newton_tol=settings.newton_tol,
+                                            max_iter=settings.max_iter),
+                             n_modes=settings.modes)
+    except ValueError as exc:
+        raise ConfigError(f"{target}: {exc}") from exc
 
     out = Path(out_dir) if out_dir else (_out_root() / name)
     out.mkdir(parents=True, exist_ok=True)
-
-    curve = follow_curve(spec, settings.xi_min, settings.xi_max, settings.xi_step,
-                         solver_settings, n_modes=settings.modes)
     write_curve_csv(out / "curve.csv", curve)
     write_analysis_txt(out / "analysis.txt", curve, settings.mu_star)
     asym_xy = None

@@ -108,7 +108,8 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
     failed bridge's.  An entirely unsolvable range
     yields a curve of gap rows only.  All solves of the curve, direct and
     bridging, share one workspace, which carries a kept LU from each solve
-    to the next.
+    to the next.  ValueErrors come before the first solve: the workspace's
+    mode rule, then xi_nodes's checks of the range and step.
     """
     settings = settings or SolverSettings()
     ws = _Workspace(p, n_modes)

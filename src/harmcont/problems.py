@@ -190,8 +190,9 @@ class ConditionReport:
 
     For k = 1 the relevant bound is g' < lambda_2; for k >= 2 the sandwich
     lambda_{k-1} < g' < lambda_{k+1}.  The crossing condition asks g(u)/u to
-    sit below lambda_1 on the far negative tail and above it on the far
-    positive tail.  Never blocks solving.
+    sit below lambda_1 on the outer fifth of the range's u < 0 side and above
+    it on that of its u > 0 side; a side the range does not reach fails it.
+    Never blocks solving.
     """
 
     k: int
@@ -233,13 +234,10 @@ def validate_conditions(p: ProblemSpec, u_range: tuple[float, float]) -> Conditi
         lam_km1 = eigenvalue(p.k - 1, p.L)
         sandwich_ok = (lam_km1 < gp_min) and (gp_max < lam_k1)
 
-    # crossing (Amann-Hess style): examine g(u)/u on the outer 20% tails
+    # crossing (Amann-Hess style), away from u = 0 where g(u)/u ~ g(0)/u
     lam1 = eigenvalue(1, p.L)
-    span = hi - lo
-    neg = u[u < lo + 0.2 * span]
-    pos = u[u > hi - 0.2 * span]
-    neg = neg[np.abs(neg) > 1e-9]
-    pos = pos[np.abs(pos) > 1e-9]
+    neg = u[u < 0.8 * lo]
+    pos = u[u > 0.8 * hi]
     ratio = lambda v: np.asarray(p.nonlinearity.g(v), dtype=float) / v
     tail_neg = float(np.max(ratio(neg))) if neg.size else np.inf
     tail_pos = float(np.min(ratio(pos))) if pos.size else -np.inf

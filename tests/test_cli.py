@@ -13,6 +13,10 @@ from harmcont import checks, cli
 from harmcont.checks import CheckRow
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_INTERNAL, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
+from harmcont.continuation import Curve
+from harmcont.problems import catalog
+from harmcont.solver import SolutionPoint
+from harmcont.spectral import SineSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,6 +116,23 @@ class TestRunCatalog:
         done = run_hc(tmp_path, "run", cfg, "--out", out, timeout=30)
         assert done.returncode == EXIT_OK, done.stderr
         ET.fromstring((out / "curve.svg").read_text())
+
+    @pytest.mark.parametrize("lo, hi", [(5431.8878, 5431.8996), (1e17, 1e17 + 16)])
+    def test_tick_labels_differ_on_both_axes(self, tmp_path, lo, hi):
+        # %g labels 5431.89 and 5431.8925 alike; on [1e17, 1e17 + 16] ticks
+        # 5 apart round pairwise to one double, so only one of each is kept
+        rows = [SolutionPoint(xi=x, mu=x, U=SineSeries.zero(1.0, 2), residual_norm=0.0,
+                              newton_iters=1) for x in (lo, hi)]
+        cli.write_svg(tmp_path / "curve.svg", Curve(catalog("cubic(1)"), rows))
+        texts = list(ET.parse(tmp_path / "curve.svg").iter("{http://www.w3.org/2000/svg}text"))
+        x_labels = [t.text for t in texts if t.get("y") == "493"]  # H - mb + 20
+        y_labels = [t.text for t in texts if t.get("text-anchor") == "end"]
+        for labels in (x_labels, y_labels):
+            assert len(labels) >= 2 and len(set(labels)) == len(labels), labels
+
+    def test_tick_labels_keep_g_where_it_tells_ticks_apart(self):
+        assert cli._ticks(-3.0, 7.0) == [(-2.0, "-2"), (0.0, "0"), (2.0, "2"),
+                                         (4.0, "4"), (6.0, "6")]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -308,6 +329,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli("run", "cubic(1)", *QUICK, "--out", str(out)) == EXIT_INTERNAL
         assert "internal error: no curve" in capsys.readouterr().err
+        assert not out.exists()  # the curve is followed before anything is written
 
     def test_verify_internal_error(self, capsys, monkeypatch):
         def broken(suite):
@@ -318,8 +340,10 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
 
     def test_bad_range_flags(self, tmp_path):
+        out = tmp_path / "out"
         assert run_cli("run", "cubic(1)", "--xi-min", "2", "--xi-max", "-2",
-                       "--out", str(tmp_path)) == EXIT_CONFIG
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, flags", [
         (None, ["--modes", "4"]),  # resonance-k7 needs 2k = 14 modes
@@ -334,9 +358,10 @@ class TestExitCodes:
         if config is not None:
             target = tmp_path / "problem.cfg"
             target.write_text(config)
-        assert run_cli("run", str(target), *flags,
-                       "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert run_cli("run", str(target), *flags, "--out", str(out)) == EXIT_CONFIG
         assert "modes must be at least max(2k, forcing modes)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_forcing_mode(self, tmp_path, capsys):
         cfg = tmp_path / "problem.cfg"

@@ -119,6 +119,24 @@ class TestValidateConditions:
         assert np.min(p.nonlinearity.g(pos) / pos) > PI2
         assert rep.tail_ratio_neg < PI2 < rep.tail_ratio_pos
 
+    def test_amann_hess_tails_outer_fifth_of_each_side(self):
+        # on (-5, 50) the tail of u < 0 is [-5, -4], not the outer fifth of
+        # the span, which reached u = 6 and its g(u)/u ~ 1/u near 0
+        rep = validate_conditions(catalog("amann-hess-type"), (-5.0, 50.0))
+        assert rep.crossing_ok
+        assert rep.tail_ratio_neg == pytest.approx(9.4592, abs=1e-4)
+        assert rep.tail_ratio_pos == pytest.approx(11.6372, abs=1e-4)
+
+    @pytest.mark.parametrize("u_range, side", [((10.0, 60.0), "neg"), ((-60.0, -10.0), "pos")],
+                             ids=["u-positive", "u-negative"])
+    def test_side_not_reached_has_no_tail(self, u_range, side):
+        rep = validate_conditions(catalog("amann-hess-type"), u_range)
+        assert not rep.crossing_ok
+        if side == "neg":
+            assert rep.tail_ratio_neg == np.inf
+        else:
+            assert rep.tail_ratio_pos == -np.inf
+
     def test_oscillatory_violates_sandwich(self):
         rep = validate_conditions(catalog("oscillatory-p512"), (-40.0, 40.0))
         assert not rep.sandwich_ok  # advisory only; solving still works
