@@ -338,8 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="parallel workers when target is a directory")
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=["linear", "oracle", "asymptotics",
-                                       "invariants", "all"])
+    ver.add_argument("suite", choices=[*checks.SUITES, "all"])
     return ap
 
 

@@ -2,11 +2,12 @@
 
 Given a problem and a prescribed k-th harmonic xi, find the remainder
 U _|_ sin(k pi x/L) and the scalar mu_k so that u = xi sin(k pi x/L) + U
-solves u'' + g(u) = mu_k sin(k pi x/L) + e(x).  The harmonic projection of
-the equation fixes mu_k directly; the complementary projection is solved by
-a damped Newton iteration on the sine coefficients of U.  The iteration works
-on plain coefficient arrays; a SineSeries is built only for the returned
-point.
+solves u'' + g(u) = mu_k sin(k pi x/L) + e(x).  One residual, the sine
+coefficients of u'' + g(u) minus a forcing that holds e and the g(0)
+correction, serves the whole equation: mu_k is its k-th coefficient, and a
+damped Newton iteration on the sine coefficients of U zeroes the others.  The
+iteration works on plain coefficient arrays; a SineSeries is built only for
+the returned point.
 
 A solve given a workspace that keeps the LU of an earlier Jacobian first
 takes quasi-Newton steps on it: QNERR (Deuflhard, Newton Methods for
@@ -120,17 +121,16 @@ class _Workspace:
         self.p = p
         self.N = n_modes
         self.M = 4 * n_modes
-        self.lam = (np.arange(1, self.N + 1) * np.pi / p.L) ** 2
-        self.e_pad = p.e.padded(self.N)
+        j = np.arange(1, self.N + 1)
+        self.neg_lam = -(j * np.pi / p.L) ** 2
         self.reduced = np.delete(np.arange(self.N), p.k - 1)
         # g(u) does not vanish at the Dirichlet ends unless g(0) = 0; its sine
-        # tail then decays like 1/j and aliases into the computed modes.  Split
-        # off the constant g(0), whose coefficients 2 g(0) (1 - (-1)^j)/(j pi)
-        # are known exactly, and transform only the end-vanishing remainder.
-        self.g0 = float(np.asarray(p.nonlinearity.g(0.0), dtype=float))
-        j = np.arange(1, self.N + 1)
-        self.const_coeffs = self.g0 * (2.0 * (1.0 - (-1.0) ** j) / (j * np.pi))
-        self.neg_lam = -self.lam
+        # tail then decays like 1/j and aliases into the computed modes.  The
+        # forcing swaps the transform's coefficients of the constant g(0) for
+        # the exact ones, 2 g(0) (1 - (-1)^j)/(j pi).
+        g0 = float(np.asarray(p.nonlinearity.g(0.0), dtype=float))
+        exact = 2.0 * (1.0 - (-1.0) ** j) / (j * np.pi)
+        self.forcing = p.e.padded(self.N) - g0 * (exact - from_grid(np.ones(self.M), self.N))
         # (lu, piv) of the last Jacobian factored, until a solve fails
         self.factor = None
 
@@ -153,37 +153,28 @@ class _Workspace:
             v /= 1.0 - s @ v / ss
         return v
 
-    def g_coefficients(self, g_vals: np.ndarray) -> np.ndarray:
-        if self.g0 == 0.0:
-            return from_grid(g_vals, self.N)
-        tilted = from_grid(g_vals - self.g0, self.N)
-        return tilted + self.const_coeffs
-
     def residual_mu(self, xi: float, U: np.ndarray):
-        """Projected residual R = P[u'' + g(u) - e], mu and u on the grid.
+        """Projected residual R, mu and u on the grid.
 
         U holds the N coefficients of the remainder; its k-th slot is
-        ignored.  R has a zero k-th coefficient; mu is fixed by the k-th sine
-        coefficient of the equation, mu = -lambda_k xi + (2/L) int g(u) phi_k.
+        ignored.  mu is the k-th coefficient of u'' + g(u) - forcing, the
+        g(0) correction being part of the forcing; R has that slot zeroed.
         """
         c = U.copy()
         c[self.p.k - 1] = xi
         u_vals = to_grid(c, self.M)
-        g_vals = np.asarray(self.p.nonlinearity.g(u_vals), dtype=float)
-        g_coef = self.g_coefficients(g_vals)
-        k = self.p.k
-        mu = -self.lam[k - 1] * xi + g_coef[k - 1]
         R = self.neg_lam * c
-        R += g_coef
-        R -= self.e_pad
-        R[k - 1] = 0.0
+        R += from_grid(np.asarray(self.p.nonlinearity.g(u_vals), dtype=float), self.N)
+        R -= self.forcing
+        mu = R[self.p.k - 1]
+        R[self.p.k - 1] = 0.0
         return R, mu, u_vals
 
     def jacobian(self, u_vals: np.ndarray) -> np.ndarray:
         """Dense reduced Jacobian d(residual)/dU on the non-k modes."""
         gp_vals = np.asarray(self.p.nonlinearity.g_prime(u_vals), dtype=float)
         J = multiplication_matrix(gp_vals, self.N)
-        J[np.diag_indices(self.N)] -= self.lam
+        J[np.diag_indices(self.N)] += self.neg_lam
         return J.take(self.reduced, 0).take(self.reduced, 1)
 
     def trial(self, xi: float, U: np.ndarray, v: np.ndarray):

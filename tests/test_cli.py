@@ -392,8 +392,9 @@ class TestExitCodes:
         ("xi_step = 0\n", "xi_step"), ("modes = 1.5\n", "modes = '1.5'"),
         ("max_iter = ten\n", "max_iter = 'ten'"),
         ("xi_min = -1e308\nxi_max = 1e308\n", "(xi_max - xi_min) / xi_step"),
+        ("xi_min = 0\nxi_max = 1\nxi_step = 1e-300\n", "xi_step 1e-300 gives"),
     ], ids=["empty-range", "mu-star-nan", "step-zero", "modes-not-int",
-            "max-iter-not-int", "range-width-overflows"])
+            "max-iter-not-int", "range-width-overflows", "too-many-nodes"])
     def test_bad_config_run_settings(self, tmp_path, capsys, run, setting):
         cfg = tmp_path / "problem.cfg"
         cfg.write_text(f"[problem]\ng = u\n[run]\n{run}")

@@ -44,6 +44,16 @@ class TestXiNodes:
         with pytest.raises(ValueError, match=r"\(xi_max - xi_min\) / xi_step must be finite"):
             xi_nodes(xi_min, xi_max, step)
 
+    @pytest.mark.parametrize("xi_max, step", [(1.0, 1e-300), (2.0, 1e-6)],
+                             ids=["step-1e-300", "two-million-nodes"])
+    def test_node_count_bounded(self, xi_max, step):
+        with pytest.raises(ValueError, match=f"xi_step .* above the bound of {continuation.MAX_NODES}"):
+            xi_nodes(0.0, xi_max, step)
+
+    def test_node_count_at_the_bound(self):
+        nodes = xi_nodes(0.0, continuation.MAX_NODES - 1.0, 1.0)
+        assert nodes.size == continuation.MAX_NODES
+
 
 class TestParabolicVertex:
     @pytest.mark.parametrize("x, y", [

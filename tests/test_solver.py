@@ -109,6 +109,27 @@ class TestSolveLinear:
         assert pt.U.l2_norm() == 0.0
 
 
+class TestSolveConstant:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n_modes", [16, 64])
+    def test_constant_g_closed_form(self, k, n_modes):
+        # u'' + 2.5 = mu phi_k + e: the constant's sine coefficients are
+        # C_j = 2.5 * 2 (1 - (-1)^j)/(j pi), so mu = -lambda_k xi + C_k and
+        # U_j = (C_j - e_j)/lambda_j off the driven harmonic
+        e = SineSeries.from_pairs(1.0, [(k + 1, 0.3)], n_modes=n_modes)
+        p = ProblemSpec(L=1.0, k=k, e=e, nonlinearity=Nonlinearity.from_expression("2.5"))
+        xi = 0.7
+        pt = solve_at_signature(p, xi, n_modes=n_modes)
+        j = np.arange(1, n_modes + 1)
+        lam = j ** 2 * PI2
+        C = 2.5 * 2 * (1 - (-1.0) ** j) / (j * np.pi)
+        assert pt.converged and pt.newton_iters == 1
+        assert pt.mu == pytest.approx(-lam[k - 1] * xi + C[k - 1], rel=1e-12)
+        U = (C - e.coeffs) / lam
+        U[k - 1] = 0.0
+        np.testing.assert_allclose(pt.U.coeffs, U, rtol=1e-12, atol=1e-17)
+
+
 class TestSolveNonlinear:
     def test_oscillatory_cold_start_at_large_xi(self):
         # cold Newton at xi = 40 lands on the curve; the leading-order
