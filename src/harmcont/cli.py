@@ -44,6 +44,7 @@ EXIT_GAPS = 3
 EXIT_INTERNAL = 4
 
 GAP_FRACTION_LIMIT = 0.10
+CONFIG_SUFFIXES = (".cfg", ".ini", ".conf")  # what hc run <dir> runs
 N_TICKS = 6  # ticks an SVG axis aims for
 
 
@@ -202,10 +203,14 @@ def _out_root() -> Path:
 
 
 def run_one(target: str, overrides: dict, out_dir: str | None) -> int:
-    """Run a single catalog problem or config file; returns an exit code."""
+    """Run a single catalog problem or config file; returns an exit code.
+
+    A target with a config suffix, or any existing file, is a config: one
+    that cannot be read is a ConfigError, not an unknown catalog name.
+    """
     path = Path(target)
     asym = None
-    if path.is_file():
+    if path.suffix.lower() in CONFIG_SUFFIXES or path.is_file():
         spec, settings = load_config(path)
         name = path.stem
     else:
@@ -275,10 +280,10 @@ def cmd_run(args) -> int:
                  if (value := getattr(args, f.name)) is not None}
     if path.is_dir():
         configs = sorted(p for p in path.iterdir()
-                         if p.suffix.lower() in (".cfg", ".ini", ".conf"))
+                         if p.suffix.lower() in CONFIG_SUFFIXES)
         if not configs:
-            print(f"error: no config files (*.cfg, *.ini, *.conf) in {path}",
-                  file=sys.stderr)
+            names = ", ".join(f"*{suffix}" for suffix in CONFIG_SUFFIXES)
+            print(f"error: no config files ({names}) in {path}", file=sys.stderr)
             return EXIT_CONFIG
         stems = Counter(c.stem for c in configs)
         clashes = [c.name for c in configs if stems[c.stem] > 1]

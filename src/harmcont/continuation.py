@@ -1,24 +1,25 @@
 """March the harmonic parameter over a range and analyze the resulting curve.
 
 The k-th harmonic xi is a global graph parameter for the curve, so plain
-fixed-step marching suffices.  Each node makes one direct attempt from a
-predicted start (Allgower & Georg, Numerical Continuation Methods, ch. 2):
-the parabola through the last three rows, when all three converged,
-extended to the node; otherwise, or when that step is long, the line
-through the last two converged remainders; and the plain warm start when
-that step is long too.  A node whose direct attempt fails is bridged by
-one half step from the last converged point before being recorded as a
-gap, unless the node before it is a gap: a bridge from that point has
-failed already, so a gap band costs one failed bridge plus one direct
-attempt per node.  A node that still fails sits where xi stops being a
-global parameter, at a fold, and no shorter xi step crosses a fold: on
-39,335 nodes of the config-batch, figure, retry and k = 2 curves the only
-node a bridge rescued took one half step, and bridging down to 1/64 of a
-node step left every row the same.  Tracing folds needs pseudo-arclength
-continuation (ROADMAP item 2).  Only the branch reachable by warm-started
-marching is followed; when the g' sandwich fails, other branches may exist
-and are not searched for.  A long predictor step could land on one of
-them, which is why it is not taken.
+fixed-step marching suffices; under the g' sandwich a node's Newton start
+changes what its solve costs, not what it returns.  Each node makes one
+direct attempt.  After three converged rows it starts from the parabola
+through them, extended to the node (Allgower & Georg, Numerical
+Continuation Methods, ch. 2), if that step is at most MAX_PREDICTOR_STEP of
+the last point's size; otherwise from the last converged remainder, the
+warm start (the zero series at the first node).  A node whose direct attempt fails is
+bridged with warm starts by one half step from the last converged point
+before being recorded as a gap, unless the node before it is a gap: a
+bridge from that point has failed already, so a gap band costs one failed
+bridge plus one direct attempt per node.  A node that still fails sits
+where xi stops being a global parameter, at a fold, and no shorter xi step
+crosses a fold: on 39,335 nodes of the config-batch, figure, retry and
+k = 2 curves the only node a bridge rescued took one half step, and
+bridging down to 1/64 of a node step left every row the same.  Tracing
+folds needs pseudo-arclength continuation (ROADMAP item 2).  Only the
+branch reachable by warm-started marching is followed; when the g'
+sandwich fails, other branches may exist and are not searched for.  A long
+predictor step could land on one of them, which is why it is not taken.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .problems import ProblemSpec, RunSettings
 from .solver import SolutionPoint, SolverSettings, _Workspace, solve_at_signature
 from .spectral import SineSeries
 
-# Longest predictor step, three-point or secant, relative to the coefficient
-# norm of u at the last point.  The figure curves take steps below 0.003.  On
-# 4 pi^2 u + A sin u over [-10, 10] the secant steps that jumped to another
-# remainder were above 0.08; with this bound no node leaves the plain branch
-# for A in {1.5, 2, 2.5, 2.6836, 3}, with either predictor.
+# Longest predictor step relative to the coefficient norm of u at the last
+# point.  The figure curves take steps below 0.003.  On 4 pi^2 u + A sin u
+# over [-10, 10] the predictor steps that jumped to another remainder were
+# above 0.08; with this bound no node leaves the plain branch for
+# A in {1.5, 2, 2.5, 2.6836, 3}.
 MAX_PREDICTOR_STEP = 0.02
 # Most nodes per curve: 3 minutes of 190 us solves, 8 MB; the longest used has 801.
 MAX_NODES = 1_000_000
@@ -89,60 +90,44 @@ class Curve:
 def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                  settings: SolverSettings | None = None,
                  n_modes: int = RunSettings.modes) -> Curve:
-    """Assemble the solution curve on a uniform xi grid.
+    """Assemble the solution curve on a uniform xi grid, one row per node.
 
-    Each node gets one direct attempt.  When the last three rows converged,
-    at (xi_0, U_0), (xi_1, U_1) and (xi, U), it starts from the quadratic
-    Lagrange extrapolation through them,
+    Starts and bridges follow the module's rule.  With the last three rows
+    converged, at (xi_0, U_0), (xi_1, U_1) and (xi, U), the predicted start is
     U + (target - xi) [U_1, U] + (target - xi) (target - xi_1) [U_0, U_1, U]
-    in divided differences, if that step is at most MAX_PREDICTOR_STEP of
-    the last point's size.  Otherwise it starts from the secant predictor
-    U + (target - xi) (U - U_prev) / (xi - xi_prev) through the last two
-    converged points (xi_prev, U_prev) and (xi, U), when there are two and
-    its step is within the same bound, and from U itself otherwise (the zero
-    series at the first node).  If the direct attempt fails and the node
-    before converged, the node is bridged from that point with plain warm
-    starts: one solve at the half step xi + (target - xi) / 2 from U and, if
-    it converges, one at target from the half step's remainder.  A converged
-    landing is the node's row; otherwise the direct attempt is recorded as
-    the node's gap row and marching moves on.  A node after a gap row makes
-    its direct attempt only: a later bridge would start from the same point
-    with the same plain warm start and no kept LU (a failed solve drops
-    it), and its half step would lie farther from the start than the
-    failed bridge's.  An entirely unsolvable range
-    yields a curve of gap rows only.  All solves of the curve, direct and
-    bridging, share one workspace, which carries a kept LU from each solve
-    to the next.  ValueErrors come before the first solve: the workspace's
-    mode rule, then xi_nodes's checks of the range and step.
+    in divided differences.  A bridge solves at xi + (target - xi) / 2 from
+    the warm start and, if that converges, at target from the half step's
+    remainder; a converged landing is the node's row, otherwise the direct
+    attempt is its gap row.  An entirely unsolvable range yields a curve of
+    gap rows only.  All solves of the curve share one workspace, which
+    carries a kept LU from each solve to the next.  ValueErrors come before
+    the first solve: the workspace's mode rule, then xi_nodes's checks of the
+    range and step.
     """
     settings = settings or SolverSettings()
     ws = _Workspace(p, n_modes)
     rows: list[SolutionPoint] = []
-    warm = SineSeries.zero(p.L, n_modes)
-    prev = last = None  # the last two converged points
+    warm = SineSeries.zero(p.L, n_modes)  # the last converged remainder
 
     for target in xi_nodes(xi_min, xi_max, step):
         start = warm
-        if prev is not None:
+        if len(rows) >= 3 and all(pt.converged for pt in rows[-3:]):
+            # Newton form of the parabola through rows[-3:]: the line through
+            # the last two plus a second difference
+            first, prev, last = rows[-3:]
             secant = (target - last.xi) / (last.xi - prev.xi) * (warm.coeffs - prev.U.coeffs)
-            moves = [secant]
-            if len(rows) >= 3 and all(pt.converged for pt in rows[-3:]):
-                # Newton form of the parabola through rows[-3:], the last of
-                # which are prev and last: the secant plus a second difference
-                first = rows[-3]
-                second = ((warm.coeffs - prev.U.coeffs) / (last.xi - prev.xi)
-                          - (prev.U.coeffs - first.U.coeffs) / (prev.xi - first.xi)
-                          ) / (last.xi - first.xi)
-                moves = [secant + (target - last.xi) * (target - prev.xi) * second, secant]
+            second = ((warm.coeffs - prev.U.coeffs) / (last.xi - prev.xi)
+                      - (prev.U.coeffs - first.U.coeffs) / (prev.xi - first.xi)
+                      ) / (last.xi - first.xi)
+            move = secant + (target - last.xi) * (target - prev.xi) * second
             size = np.hypot(last.xi, np.sqrt(warm.coeffs @ warm.coeffs))  # of u's coefficients
-            for move in moves:
-                if np.sqrt(move @ move) <= MAX_PREDICTOR_STEP * size:
-                    start = SineSeries(p.L, warm.coeffs + move)
-                    break
+            if np.sqrt(move @ move) <= MAX_PREDICTOR_STEP * size:
+                start = SineSeries(p.L, warm.coeffs + move)
         pt = solve_at_signature(p, target, start, settings, n_modes=n_modes, workspace=ws)
         # after a gap row, the bridge from the last converged point has failed
         if not pt.converged and rows and rows[-1].converged:
-            half = solve_at_signature(p, last.xi + (target - last.xi) / 2, warm, settings,
+            origin = rows[-1].xi
+            half = solve_at_signature(p, origin + (target - origin) / 2, warm, settings,
                                       n_modes=n_modes, workspace=ws)
             if half.converged:
                 landing = solve_at_signature(p, target, half.U, settings,
@@ -151,7 +136,7 @@ def follow_curve(p: ProblemSpec, xi_min: float, xi_max: float, step: float,
                     pt = landing
         rows.append(pt)
         if pt.converged:
-            prev, last, warm = last, pt, pt.U
+            warm = pt.U
     return Curve(problem=p, rows=rows)
 
 

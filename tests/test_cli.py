@@ -14,7 +14,7 @@ from harmcont.checks import CheckRow
 from harmcont.cli import (EXIT_CONFIG, EXIT_GAPS, EXIT_INTERNAL, EXIT_OK,
                           EXIT_VERIFY_FAILED, main)
 from harmcont.continuation import Curve
-from harmcont.problems import catalog
+from harmcont.problems import RunSettings, catalog
 from harmcont.solver import SolutionPoint
 from harmcont.spectral import SineSeries
 
@@ -106,6 +106,24 @@ class TestRunCatalog:
     def test_unknown_catalog_name(self, tmp_path):
         assert run_cli("run", "no-such-problem", "--out", str(tmp_path)) == EXIT_CONFIG
 
+    def test_missing_config_is_not_a_catalog_name(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read config {cfg}" in err and "No such file or directory" in err
+        assert "catalog" not in err
+
+    def test_config_named_directory_in_batch(self, tmp_path):
+        # a directory with a config suffix is run as a config that cannot be
+        # read, not looked up in the catalog; the batch's worker prints the
+        # error, so it is read from a fresh interpreter's stderr
+        cfgdir = tmp_path / "cfgs"
+        (cfgdir / "sub.cfg").mkdir(parents=True)
+        done = run_hc(tmp_path, "run", cfgdir, "--out", tmp_path / "out", timeout=60)
+        assert done.returncode == EXIT_CONFIG
+        assert f"cannot read config {cfgdir / 'sub.cfg'}" in done.stderr
+        assert "Is a directory" in done.stderr and "catalog" not in done.stderr
+
     def test_axis_spanning_one_ulp(self, tmp_path):
         # the xi axis is [1e17, 1e17 + 16] with ticks 5 apart, below half an
         # ulp (16) of 1e17: the ticks are placed by index, not by adding 5
@@ -179,7 +197,7 @@ class TestGoldenCurves:
         xi0, mu0, converged0 = read_curve(GOLDEN / name / "curve.csv")
         assert xi == xi0
         assert converged == converged0
-        assert max(abs(a - b) for a, b in zip(mu, mu0)) <= 1e-10
+        assert max(abs(a - b) for a, b in zip(mu, mu0)) <= RunSettings.newton_tol
 
 
 class TestRunConfig:

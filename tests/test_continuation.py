@@ -300,9 +300,10 @@ class TestKeptFactorization:
 
 class TestPredictor:
     def test_failed_prediction_goes_to_bridge_from_warm_start(self, monkeypatch):
-        # every node of this smooth stretch from the third on is predicted; the
-        # wrapper reports the predicted attempt at fail_once as failed, and
-        # every attempt at fail_always, so that node becomes a gap
+        # every node of this smooth stretch from the fourth on, but for the
+        # one after the gap, is predicted; the wrapper reports the predicted
+        # attempt at fail_once as failed, and every attempt at fail_always,
+        # so that node becomes a gap
         p = catalog("oscillatory-p512")
         nodes = xi_nodes(5.0, 6.0, 0.1)
         fail_once, fail_always = nodes[3], nodes[7]
@@ -323,21 +324,20 @@ class TestPredictor:
         # the direct attempt, then the landing after the converged half step
         assert [x for x, _, _ in calls].count(fail_once) == 2
         assert [x for x, _, _ in calls].count(fail_always) == 2
-        # one converged point is no secant: the second node starts from the first
+        # before three converged rows, and just after the gap, a node starts
+        # from the last converged remainder
         assert [x for x, _, _ in calls[:3]] == list(nodes[:3])
         assert np.array_equal(calls[1][1], c.points[0].U.coeffs)
 
         def direct(i):  # the call of node i's direct attempt
             return next(n for n, call in enumerate(calls) if call[0] == nodes[i])
 
-        def secant(a, b, xi):  # the line through rows a and b, at xi
+        def line(a, b, xi):  # the line through rows a and b, at xi
             ra, rb = c.rows[a], c.rows[b]
             return rb.U.coeffs + (xi - rb.xi) / (rb.xi - ra.xi) * (rb.U.coeffs - ra.U.coeffs)
 
-        # two rows before node 2, and node 8 follows the gap: each starts from
-        # the secant through the last two converged points
-        assert np.array_equal(calls[direct(2)][1], secant(0, 1, nodes[2]))
-        assert np.array_equal(calls[direct(8)][1], secant(5, 6, nodes[8]))
+        assert np.array_equal(calls[direct(2)][1], c.rows[1].U.coeffs)
+        assert np.array_equal(calls[direct(8)][1], c.rows[6].U.coeffs)
 
         for i in (3, 7):
             xi = nodes[i]
@@ -348,7 +348,7 @@ class TestPredictor:
                          + (xi - x0) * (xi - x2) / ((x1 - x0) * (x1 - x2)) * U1
                          + (xi - x0) * (xi - x1) / ((x2 - x0) * (x2 - x1)) * U2)
             assert np.max(np.abs(calls[j][1] - quadratic)) <= 1e-14 * np.max(np.abs(U2))
-            assert np.max(np.abs(calls[j][1] - secant(i - 2, i - 1, xi))) > 1e-6
+            assert np.max(np.abs(calls[j][1] - line(i - 2, i - 1, xi))) > 1e-6
             # no second direct attempt: the bridge's half step from the plain
             # warm start comes next
             prev = c.rows[i - 1]
@@ -366,7 +366,7 @@ class TestPredictor:
     def test_fewer_newton_iterations_than_plain_warm_starts(self, monkeypatch):
         p = catalog("oscillatory-p512")
         predicted = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
-        # no secant step is short enough: every node starts from the last U
+        # no predictor step is short enough: every node starts from the last U
         monkeypatch.setattr(continuation, "MAX_PREDICTOR_STEP", 0.0)
         warm = follow_curve(p, 5.0, 15.0, 0.1, n_modes=64)
         assert np.array_equal(predicted.xi(), warm.xi())
@@ -376,9 +376,9 @@ class TestPredictor:
 
     def test_long_euler_step_not_taken(self, monkeypatch):
         # g' = 4 pi^2 + A cos u crosses lambda_2, so one xi can have several
-        # remainders.  Near xi = 6.8 an unbounded secant step lands on another
-        # one than plain warm-started marching follows; the step bound keeps
-        # the march on the plain branch
+        # remainders.  Near xi = 6.8 an unbounded parabola step lands on
+        # another one than plain warm-started marching follows; the step bound
+        # keeps the march on the plain branch
         nl = Nonlinearity.from_expression("4*pi^2*u + 2.6836*sin(u)")
         p = ProblemSpec(L=1.0, k=1, e=SineSeries.from_pairs(1.0, [(2, 0.3), (3, 0.5)]),
                         nonlinearity=nl)
